@@ -17,6 +17,7 @@ The wall-clock half needs real parallel hardware and is skipped below
 4 CPUs; CI runs it on the 4-core tier.
 """
 
+import functools
 import os
 import time
 
@@ -25,6 +26,7 @@ import pytest
 
 from repro.analysis.sweep import default_inputs
 from repro.api import make_method
+from repro.core.method import Method
 from repro.obs.tracer import Tracer, tracing
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
@@ -43,8 +45,13 @@ _WORKERS = 4
 
 def _plans(system):
     for method, params in POINTS:
-        m = make_method("sin", method, assume_in_range=False, **params)
-        yield f"{method}:d{params['density_log2']}", compile_plan(system, m)
+        m = make_method("sin", method, assume_in_range=False,
+                        **params).setup()
+        # Per-element mode: a raw-kernel wrapper of Method.evaluate runs
+        # the scalar loop over every sampled element.
+        kernel = functools.partial(Method.evaluate, m)
+        yield (f"{method}:d{params['density_log2']}",
+               compile_plan(system, kernel))
 
 
 @pytest.mark.slow
@@ -63,20 +70,19 @@ def test_pool_wall_clock_speedup(bench_seeds, write_report):
     speedups, worst_skew = [], 0.0
     with ShardPool(_WORKERS, timeout=600.0) as pool:
         for name, plan in _plans(system):
-            plan.execute(xs[:64], batch=False)  # warm tally cache
+            plan.execute(xs[:64])               # warm the scalar path
             pool.ship(plan)                     # warm shipment + workers
 
             t0 = time.perf_counter()
             r_inline = execute_sharded(plan, xs, n_shards=_SHARDS,
-                                       overlap=True, batch=False)
+                                       overlap=True)
             t_inline = time.perf_counter() - t0
 
             tracer = Tracer()
             t0 = time.perf_counter()
             with tracing(tracer):
                 r_pool = execute_sharded(plan, xs, n_shards=_SHARDS,
-                                         overlap=True, batch=False,
-                                         pool=pool)
+                                         overlap=True, pool=pool)
             t_pool = time.perf_counter() - t0
 
             # Speed must not change physics: bit-identical simulated time.

@@ -44,10 +44,9 @@ _F32 = np.float32
 # Figures 5-7: one shared sweep, three projections
 
 
-def fig5_data(costs: OpCosts = UPMEM_COSTS,
-              batch: bool = True) -> List[SweepPoint]:
+def fig5_data(costs: OpCosts = UPMEM_COSTS) -> List[SweepPoint]:
     """Figure 5/6/7 source data: the full sine method sweep."""
-    return sine_sweep(costs=costs, batch=batch)
+    return sine_sweep(costs=costs)
 
 
 def _sweep_table(points: Sequence[SweepPoint], value_header: str,
@@ -136,7 +135,6 @@ def fig9_data(
     n_vector: int = 30_000_000,
     costs: OpCosts = UPMEM_COSTS,
     trace_elements: int = 10_000,
-    batch: bool = True,
 ) -> List[Fig9Row]:
     """Execution times of all Figure 9 configurations.
 
@@ -156,8 +154,7 @@ def fig9_data(
                         CPU_BLACKSCHOLES.seconds(n_blackscholes, 32)))
     for variant in ("poly", "mlut_i", "llut_i", "llut_i_fx"):
         bs = Blackscholes(variant, costs).setup()
-        res = bs.run(options, system, virtual_n=n_blackscholes,
-                     use_batch=batch)
+        res = bs.run(options, system, virtual_n=n_blackscholes)
         rows.append(Fig9Row("blackscholes", f"pim_{variant}",
                             res.total_seconds))
 
@@ -167,7 +164,7 @@ def fig9_data(
     rows.append(Fig9Row("sigmoid", "cpu_32t", CPU_SIGMOID.seconds(n_vector, 32)))
     for variant in ("poly", "mlut_i", "llut_i"):
         sg = Sigmoid(variant, costs).setup()
-        res = sg.run(xs, system, virtual_n=n_vector, use_batch=batch)
+        res = sg.run(xs, system, virtual_n=n_vector)
         rows.append(Fig9Row("sigmoid", f"pim_{variant}", res.total_seconds))
 
     # Softmax ----------------------------------------------------------
@@ -176,7 +173,7 @@ def fig9_data(
     rows.append(Fig9Row("softmax", "cpu_32t", CPU_SOFTMAX.seconds(n_vector, 32)))
     for variant in ("poly", "mlut_i", "llut_i"):
         sm = Softmax(variant, costs).setup()
-        res = sm.run(xm, system, virtual_n=n_vector, use_batch=batch)
+        res = sm.run(xm, system, virtual_n=n_vector)
         rows.append(Fig9Row("softmax", f"pim_{variant}", res.total_seconds))
     return rows
 

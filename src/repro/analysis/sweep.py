@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.api import make_method
+from repro.batch.vec import array_digest
 from repro.core.accuracy import max_abs_error, rmse
 from repro.core.functions.registry import get_function
 from repro.core.setup_model import DEFAULT_SETUP_MODEL, SetupTimeModel
@@ -82,26 +83,24 @@ def sweep_method(
     setup_model: SetupTimeModel = DEFAULT_SETUP_MODEL,
     extra_params: Optional[Dict[str, int]] = None,
     skip_oversized_wram: bool = True,
-    batch: bool = True,
     plan_cache: Optional[PlanCache] = None,
 ) -> List[SweepPoint]:
     """Sweep one method's precision parameter and measure every point.
-
-    ``batch`` routes the cycle trace through the batched path-classification
-    engine (:mod:`repro.batch`) — bit-identical numbers, one trace per cost
-    path instead of one per sampled element.
 
     Every point compiles through a :class:`~repro.plan.cache.PlanCache`
     (``plan_cache`` when given, a sweep-local one otherwise).  The cache's
     method pool reuses built tables and RMSE evaluations across placements
     and calls: table contents are placement-independent, only the traced
     load cost differs, so a pool hit retargets the method with
-    :meth:`Method.set_placement` instead of rebuilding.  Callers sharing
-    one cache across calls must pass identical ``inputs``.
+    :meth:`Method.set_placement` instead of rebuilding.  The accuracy pass
+    is memoized per table image by the content of ``inputs``, so calls
+    sharing one cache may pass different inputs.
     """
     if inputs is None:
         inputs = default_inputs(function)
     reference = get_function(function).reference(inputs.astype(np.float64))
+    rmse_key = ("sweep_rmse_approx", array_digest(inputs), inputs.shape,
+                inputs.dtype.str)
 
     cache = plan_cache if plan_cache is not None else PlanCache(maxsize=256)
     # One representative core: sweeps measure per-element cycles, so the
@@ -141,12 +140,12 @@ def sweep_method(
                 _metrics.inc("sweep.skipped_oversized")
                 point_sp.set(skipped="oversized_wram")
                 continue
-            approx = plan.memo.get("sweep_rmse_approx")
+            approx = plan.memo.get(rmse_key)
             if approx is None:
                 with _span("sweep.rmse"):
                     approx = plan.values(inputs).astype(np.float64)
-                plan.memo["sweep_rmse_approx"] = approx
-            result = plan.execute(inputs, batch=batch).per_dpu
+                plan.memo[rmse_key] = approx
+            result = plan.execute(inputs).per_dpu
             _metrics.inc("sweep.points")
             point_sp.set(cycles_per_element=result.cycles_per_element)
         points.append(SweepPoint(
@@ -189,8 +188,7 @@ SINE_SWEEPS: Dict[str, dict] = {
 
 
 def sine_sweep(placements: Iterable[str] = ("mram", "wram"),
-               costs: OpCosts = UPMEM_COSTS,
-               batch: bool = True) -> List[SweepPoint]:
+               costs: OpCosts = UPMEM_COSTS) -> List[SweepPoint]:
     """Run the full Figure 5-7 sweep for the sine function."""
     inputs = default_inputs("sin")
     points: List[SweepPoint] = []
@@ -199,6 +197,6 @@ def sine_sweep(placements: Iterable[str] = ("mram", "wram"),
         for placement in placements:
             points.extend(sweep_method(
                 "sin", method, placement=placement, inputs=inputs,
-                costs=costs, batch=batch, plan_cache=cache, **cfg,
+                costs=costs, plan_cache=cache, **cfg,
             ))
     return points

@@ -7,21 +7,19 @@ from repro.batch.engine import (
     batch_tally,
     enumerate_paths,
     scalar_tally,
-    scale_tally_int,
     tally_from_keys,
 )
-from repro.batch.vec import VecEvaluator, VecResult, compile_vec, vec_run
+from repro.batch.vec import VecEvaluator, VecResult, array_digest, compile_vec
 
 __all__ = [
     "BatchResult",
     "CostPath",
     "VecEvaluator",
     "VecResult",
+    "array_digest",
     "batch_tally",
     "compile_vec",
     "enumerate_paths",
     "scalar_tally",
-    "scale_tally_int",
     "tally_from_keys",
-    "vec_run",
 ]

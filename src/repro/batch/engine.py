@@ -33,7 +33,6 @@ from repro.obs import metrics as _metrics
 __all__ = [
     "CostPath",
     "BatchResult",
-    "scale_tally_int",
     "enumerate_paths",
     "batch_tally",
     "tally_from_keys",
@@ -62,18 +61,6 @@ class BatchResult:
     slots: np.ndarray        # per-element instruction slots (int64)
     paths: List[CostPath]    # distinct paths, by first occurrence
     batched: bool            # False when the scalar fallback ran
-
-
-def scale_tally_int(tally: Tally, count: int) -> Tally:
-    """``tally`` replicated ``count`` times — exact integer scaling."""
-    scaled = Tally(
-        slots=tally.slots * count,
-        dma_transactions=tally.dma_transactions * count,
-        dma_bytes=tally.dma_bytes * count,
-        dma_latency=tally.dma_latency * count,
-    )
-    scaled.counts = {name: n * count for name, n in tally.counts.items()}
-    return scaled
 
 
 def enumerate_paths(method, xs: np.ndarray,
@@ -107,21 +94,22 @@ def scalar_tally(method, xs: np.ndarray) -> BatchResult:
                        paths=[], batched=False)
 
 
-def batch_tally(method, xs: np.ndarray, batch: bool = True,
+def batch_tally(method, xs: np.ndarray,
                 tally_cache: Optional[Dict[int, Tally]] = None) -> BatchResult:
     """Exact aggregate tally of ``method.evaluate`` over ``xs``.
 
     Classifies the array into cost paths, scalar-traces one representative
     per path, and sums ``path_tally * path_count`` — bit-identical to
     tracing every element, at a cost proportional to the number of distinct
-    paths (typically < 10) instead of the array length.  ``batch=False``
-    (or an unclassifiable method) runs the scalar loop instead.
+    paths (typically < 10) instead of the array length.  An unclassifiable
+    method runs the scalar loop instead (:func:`scalar_tally` forces it).
 
-    ``tally_cache`` maps path key -> traced Tally across calls (an
-    :class:`~repro.plan.plan.ExecutionPlan` owns one per compiled method):
-    equal key implies a bit-identical tally — the invariant the batch
-    differential harness enforces — so cache hits skip scalar tracing
-    entirely without changing any reported number.
+    This is the reference engine — launches go through the fused
+    evaluator (:mod:`repro.batch.vec`), which aggregates through the same
+    :func:`tally_from_keys`.  ``tally_cache`` maps path key -> traced
+    Tally across calls: equal key implies a bit-identical tally — the
+    invariant the batch differential harness enforces — so cache hits skip
+    scalar tracing entirely without changing any reported number.
     """
     xs = np.asarray(xs, dtype=_F32).ravel()
     if xs.size == 0:
@@ -130,9 +118,7 @@ def batch_tally(method, xs: np.ndarray, batch: bool = True,
         return BatchResult(n=0, tally=Tally(),
                            slots=np.empty(0, dtype=np.int64),
                            paths=[], batched=True)
-    keys: Optional[np.ndarray] = None
-    if batch:
-        keys = method.classify_paths(xs)
+    keys = method.classify_paths(xs)
     if keys is None:
         return scalar_tally(method, xs)
     return tally_from_keys(method, xs, keys, tally_cache=tally_cache)
@@ -173,7 +159,7 @@ def tally_from_keys(method, xs: np.ndarray, keys: np.ndarray,
         else:
             _metrics.inc("batch.tally_cache.hits")
         path_slots[j] = tally.slots
-        total.add(scale_tally_int(tally, int(count)))
+        total.add(tally.scaled(int(count)))
         paths.append(CostPath(key=int(key), representative=rep,
                               count=int(count), tally=tally))
     if _metrics.active_metrics() is not None:

@@ -17,23 +17,19 @@ structure-of-arrays pass per ``(method, params)`` at plan-compile time:
   (:meth:`~repro.core.cordic.circular.CordicCircular._rotate_full_vec`),
   the L-LUT variants share the magic-add/bit-view address generation
   between lookup and clamp-zone classification;
-* the ``(values, keys, unique)`` triple is memoized by input digest.
-  All three are *placement-independent* (placement only affects traced
-  load costs), so a plan pool re-executing one batch across WRAM/MRAM
-  placements or repeated launches pays the array passes once and only
-  re-derives the handful of per-path tallies.
+* the ``(values, keys, unique)`` triple is memoized by input digest, so a
+  table image launched again over the same sample (its WRAM and MRAM
+  plans draw identical samples) pays the array passes once.
 
 Everything here is bit-identical to the unfused paths by construction:
 values replicate ``evaluate_vec`` expression for expression, keys
 replicate ``classify_paths``, and the aggregation is *the same code* —
 :func:`~repro.batch.engine.tally_from_keys`.  The differential harness in
 ``tests/batch/test_vec_differential.py`` asserts equality over the full
-``METHOD_SUPPORT`` matrix.
-
-Fallback order is ``vec -> traced-batch -> scalar``: when a method
-abstains from classification (:func:`VecEvaluator.run` returns ``None``),
-:func:`vec_run` falls back to ``evaluate_vec`` + :func:`batch_tally`,
-which itself falls back to the scalar loop for unclassifiable kernels.
+``METHOD_SUPPORT`` matrix, and that the evaluator abstains
+(:meth:`VecEvaluator.run` returns ``None``) exactly where
+``classify_paths`` does — so a launch that falls back goes straight to
+the scalar loop (:meth:`~repro.pim.dpu.DPU.run_kernel`).
 
 Evaluators ship with plans to worker pools, so this module is written
 closure-free: dispatch is by a plain mode string over instance methods,
@@ -50,7 +46,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.batch.engine import BatchResult, batch_tally, tally_from_keys
+from repro.batch.engine import BatchResult, tally_from_keys
 from repro.batch.keys import (
     clamp_zone,
     ffloor_index_vec,
@@ -72,10 +68,23 @@ from repro.core.lut.mlut import MLUT, MLUTInterpolated
 from repro.isa.counter import Tally
 from repro.obs import metrics as _metrics
 
-__all__ = ["VecResult", "VecEvaluator", "compile_vec", "vec_run"]
+__all__ = ["VecResult", "VecEvaluator", "array_digest", "compile_vec"]
 
 _F32 = np.float32
 _MASK22 = (1 << 22) - 1
+
+
+def array_digest(xs: np.ndarray) -> bytes:
+    """Content digest of an array's raw buffer: the one input hash.
+
+    Every memo keyed by array content (the evaluator's fused passes, the
+    plan's launch results, the sweep's accuracy pass) hashes through
+    here.  sha256 rather than blake2b: it is typically hardware-accelerated
+    (SHA CPU extensions), which makes it the faster of the two on large
+    buffers.  The digest covers bytes only, so callers that accept several
+    shapes add the shape to their key.
+    """
+    return hashlib.sha256(np.ascontiguousarray(xs)).digest()
 
 
 @dataclass
@@ -86,34 +95,22 @@ class VecResult:
     batch: BatchResult       # batch_tally-identical cost aggregate
 
 
-def _mode_for(method) -> str:
-    """Pick the fused core kernel for a method.
-
-    Exact-type checks on purpose: hybrids and composites may *subclass*
-    or wrap these families with different core semantics, and the generic
-    composition (``core_path_vec`` + ``core_eval_vec`` over one shared
-    reduction) is always correct for them.
-    """
-    t = type(method)
-    if t is _cordic.CordicCircular:
-        return "cordic"
-    if t is LLUT:
-        return "llut"
-    if t is LLUTInterpolated:
-        return "llut_i"
-    if t is LLUTFixed:
-        return "llut_fx"
-    if t is LLUTInterpolatedFixed:
-        return "llut_i_fx"
-    if t is DLUT:
-        return "dlut"
-    if t is DLUTInterpolated:
-        return "dlut_i"
-    if t is MLUT:
-        return "mlut"
-    if t is MLUTInterpolated:
-        return "mlut_i"
-    return "generic"
+#: Exact type -> fused core kernel (``VecEvaluator._core_<mode>``).
+#: Exact-type on purpose: hybrids and composites may *subclass* or wrap
+#: these families with different core semantics, and the generic
+#: composition (``core_path_vec`` + ``core_eval_vec`` over one shared
+#: reduction) is always correct for them.
+_FUSED_MODES = {
+    _cordic.CordicCircular: "cordic",
+    LLUT: "llut",
+    LLUTInterpolated: "llut_i",
+    LLUTFixed: "llut_fx",
+    LLUTInterpolatedFixed: "llut_i_fx",
+    DLUT: "dlut",
+    DLUTInterpolated: "dlut_i",
+    MLUT: "mlut",
+    MLUTInterpolated: "mlut_i",
+}
 
 
 class VecEvaluator:
@@ -122,29 +119,17 @@ class VecEvaluator:
     ``run`` returns values bit-identical to ``method.evaluate_vec`` and a
     :class:`~repro.batch.engine.BatchResult` bit-identical to
     :func:`~repro.batch.engine.batch_tally`, or ``None`` when the method
-    abstains from path classification (callers fall back to the traced
-    engine).  The per-digest memo caches the placement-independent
+    abstains from path classification (callers fall back to the scalar
+    loop).  The per-digest memo caches the placement-independent
     ``(values, keys, unique)`` triple; per-path tallies always go through
     the caller's ``tally_cache`` so placement-specific costs stay exact.
     """
 
-    #: Bound on memoized path tallies per placement — far above any real
-    #: path population (keys carry a handful of zone/flag bits), present
-    #: only so a pathological key space cannot grow without limit.
-    TALLY_MEMO_CAP = 4096
-
     def __init__(self, method, memo_size: int = 8):
         self.method = method
-        self.mode = _mode_for(method)
+        self.mode = _FUSED_MODES.get(type(method), "generic")
         self.memo_size = int(memo_size)
         self._memo: OrderedDict = OrderedDict()
-        #: placement -> {path key -> Tally}.  Tallies depend on the
-        #: method *and* its placement (traced load costs), nothing else —
-        #: so the evaluator can re-seed a brand-new plan's cold
-        #: ``tally_cache`` with paths it already traced for that
-        #: placement, and a cache-cold launch of a repeated input skips
-        #: re-tracing entirely.
-        self._tally_memo: Dict[object, Dict[int, Tally]] = {}
         _metrics.inc("batch.vec.compiles")
 
     # ------------------------------------------------------------------
@@ -152,15 +137,7 @@ class VecEvaluator:
     # so pickled plans stay small and workers build their own.
 
     def __getstate__(self):
-        return {"method": self.method, "mode": self.mode,
-                "memo_size": self.memo_size}
-
-    def __setstate__(self, state):
-        self.method = state["method"]
-        self.mode = state["mode"]
-        self.memo_size = state["memo_size"]
-        self._memo = OrderedDict()
-        self._tally_memo = {}
+        return dict(vars(self), _memo=OrderedDict())
 
     # ------------------------------------------------------------------
 
@@ -180,62 +157,17 @@ class VecEvaluator:
         entry = self._entry(xs)
         if entry is None:
             # Memoized abstain: repeated unclassifiable batches skip the
-            # array passes and go straight to the fallback chain.
+            # array passes and go straight to the scalar loop.
             return None
         values, keys, unique = entry
-        memo = self._tally_memo.setdefault(m.placement, {})
-        ukeys = [int(k) for k in unique[0]]
-        known = [k for k in ukeys if k in memo]
-        external = tally_cache is not None
-        if not external:
-            # Cache-cold launch (no plan cache attached): serve and
-            # extend the memo directly — repeated inputs never re-trace.
-            tally_cache = memo
-        else:
-            for k in known:
-                if k not in tally_cache:
-                    tally_cache[k] = memo[k]
-        if known:
-            _metrics.inc("batch.vec.tally_memo.hits", len(known))
         batch = tally_from_keys(m, xs, keys, tally_cache=tally_cache,
                                 unique=unique)
-        if external:
-            stored = 0
-            for k in ukeys:
-                if k not in memo and k in tally_cache:
-                    if len(memo) >= self.TALLY_MEMO_CAP:
-                        break
-                    memo[k] = tally_cache[k]
-                    stored += 1
-        else:
-            stored = len(ukeys) - len(known)
-        if stored:
-            _metrics.inc("batch.vec.tally_memo.stores", stored)
         _metrics.inc("batch.vec.runs")
         return VecResult(values=values, batch=batch)
 
-    def values(self, xs: np.ndarray) -> Optional[np.ndarray]:
-        """Just the fused values (no cost aggregation), or None (abstain).
-
-        The value side of the memoized triple — accuracy sweeps re-reading
-        the same inputs pay no array pass and no path tracing.  May return
-        a read-only view of the memoized array.
-        """
-        self.method._require_ready()
-        xs = np.asarray(xs, dtype=_F32).ravel()
-        if xs.size == 0:
-            return np.empty(0, dtype=_F32)
-        entry = self._entry(xs)
-        return None if entry is None else entry[0]
-
     def _entry(self, xs: np.ndarray) -> Optional[tuple]:
-        """Digest-memoized (values, keys, unique); None means abstain.
-
-        sha256 over the raw float32 buffer: typically hardware-accelerated,
-        it halves the steady-state cost of a memo hit vs blake2b — the
-        digest *is* the warm path, so its speed is the evaluator's speed.
-        """
-        digest = hashlib.sha256(np.ascontiguousarray(xs)).digest()
+        """Digest-memoized (values, keys, unique); None means abstain."""
+        digest = array_digest(xs)
         if digest in self._memo:
             entry = self._memo[digest]
             self._memo.move_to_end(digest)
@@ -277,26 +209,7 @@ class VecEvaluator:
     def _core_fused(self, u: np.ndarray) -> Optional[Tuple[np.ndarray,
                                                            np.ndarray]]:
         """(core values, core path keys) for reduced inputs, or None."""
-        mode = self.mode
-        if mode == "cordic":
-            return self._core_cordic(u)
-        if mode == "llut":
-            return self._core_llut(u)
-        if mode == "llut_i":
-            return self._core_llut_i(u)
-        if mode == "llut_fx":
-            return self._core_llut_fx(u)
-        if mode == "llut_i_fx":
-            return self._core_llut_i_fx(u)
-        if mode == "dlut":
-            return self._core_dlut(u)
-        if mode == "dlut_i":
-            return self._core_dlut_i(u)
-        if mode == "mlut":
-            return self._core_mlut(u)
-        if mode == "mlut_i":
-            return self._core_mlut_i(u)
-        return self._core_generic(u)
+        return getattr(self, f"_core_{self.mode}")(u)
 
     def _core_generic(self, u: np.ndarray):
         """Composition fallback: correct for every method that classifies.
@@ -541,26 +454,3 @@ def compile_vec(method, memo_size: int = 8) -> VecEvaluator:
     """Compile a fused array evaluator for a built method."""
     return VecEvaluator(method, memo_size=memo_size)
 
-
-def vec_run(method, xs: np.ndarray, batch: bool = True,
-            tally_cache: Optional[Dict[int, Tally]] = None,
-            evaluator: Optional[VecEvaluator] = None
-            ) -> Tuple[np.ndarray, BatchResult]:
-    """Values + exact cost aggregate with the full fallback chain.
-
-    ``vec -> traced-batch -> scalar``: the compiled evaluator when it
-    classifies, :func:`batch_tally` (which itself falls back to the
-    scalar loop) plus a plain ``evaluate_vec`` otherwise.  Every tier
-    returns bit-identical numbers; only the wall-clock differs.
-    """
-    xs = np.asarray(xs, dtype=_F32).ravel()
-    if batch:
-        if evaluator is None:
-            evaluator = VecEvaluator(method)
-        result = evaluator.run(xs, tally_cache=tally_cache)
-        if result is not None:
-            return result.values, result.batch
-        _metrics.inc("batch.vec.fallbacks")
-    values = method.evaluate_vec(xs)
-    return values, batch_tally(method, xs, batch=batch,
-                               tally_cache=tally_cache)

@@ -36,18 +36,18 @@ from typing import List, Optional
 import numpy as np
 
 
-def _sweep_points(quick: bool, batch: bool = True):
+def _sweep_points(quick: bool):
     from repro.analysis.figures import fig5_data
     from repro.analysis.sweep import SINE_SWEEPS, default_inputs, sweep_method
     if not quick:
-        return fig5_data(batch=batch)
+        return fig5_data()
     inputs = default_inputs("sin", n=4096)
     points = []
     for method, cfg in SINE_SWEEPS.items():
         cfg = dict(cfg)
         cfg["param_values"] = cfg["param_values"][::2]
         points.extend(sweep_method("sin", method, inputs=inputs,
-                                   sample_size=12, batch=batch, **cfg))
+                                   sample_size=12, **cfg))
     return points
 
 
@@ -57,10 +57,9 @@ def _cmd_fig(args) -> int:
         print(figures.fig8_report(figures.fig8_data()))
         return 0
     if args.command == "fig9":
-        print(figures.fig9_report(figures.fig9_data(
-            trace_elements=2000, batch=not args.no_batch)))
+        print(figures.fig9_report(figures.fig9_data(trace_elements=2000)))
         return 0
-    points = _sweep_points(args.quick, batch=not args.no_batch)
+    points = _sweep_points(args.quick)
     report = {
         "fig5": figures.fig5_report,
         "fig6": figures.fig6_report,
@@ -72,7 +71,7 @@ def _cmd_fig(args) -> int:
 
 def _cmd_pareto(args) -> int:
     from repro.analysis.pareto import frontier_report
-    points = _sweep_points(args.quick, batch=not args.no_batch)
+    points = _sweep_points(args.quick)
     print(frontier_report([p for p in points if p.placement == "mram"]))
     return 0
 
@@ -322,9 +321,8 @@ def _cmd_plan(args) -> int:
 
     m = make_method(args.function, args.method, assume_in_range=False,
                     placement=args.placement, **_parse_knobs(args.knobs))
-    cache = PlanCache()
-    plan = cache.plan(_system_from_args(args), m, tasklets=args.tasklets,
-                      vec=not args.no_vec)
+    plan = PlanCache().plan(_system_from_args(args), m,
+                            tasklets=args.tasklets)
     print(plan.describe(n_elements=args.n, shards=args.shards))
     return 0
 
@@ -342,9 +340,7 @@ def _cmd_run(args) -> int:
     xs = np.random.default_rng(0).uniform(lo, hi, args.n).astype(np.float32)
 
     system = _system_from_args(args)
-    cache = PlanCache()
-    plan = cache.plan(system, m, tasklets=args.tasklets,
-                      vec=not args.no_vec)
+    plan = PlanCache().plan(system, m, tasklets=args.tasklets)
     pool = None
     if args.shards > 1 and args.workers is not None and args.workers > 1:
         # One pool for every --repeat launch: the plan ships to the
@@ -479,14 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(fig, help=f"regenerate {fig}")
         p.add_argument("--quick", action="store_true",
                        help="coarser sweep for a faster run")
-        p.add_argument("--no-batch", action="store_true",
-                       help="trace every sampled element individually "
-                            "instead of the batched path engine")
         p.set_defaults(func=_cmd_fig)
     for fig in ("fig8", "fig9"):
         p = sub.add_parser(fig, help=f"regenerate {fig}")
-        p.add_argument("--no-batch", action="store_true",
-                       help="disable the batched path engine")
         p.set_defaults(func=_cmd_fig)
 
     p = sub.add_parser("table2", help="print the support matrix")
@@ -494,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pareto", help="Pareto frontier of the sine sweep")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--no-batch", action="store_true",
-                   help="disable the batched path engine")
     p.set_defaults(func=_cmd_pareto)
 
     p = sub.add_parser("validate",
@@ -583,9 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="also show the shard split for N elements")
     p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--no-vec", action="store_true",
-                   help="compile without the array-compiled fused "
-                        "evaluator (bit-identical, traced engine only)")
     _add_topology_args(p)
     p.set_defaults(func=_cmd_plan)
 
@@ -612,9 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker start method (default: platform default)")
     p.add_argument("--timeout", type=float, default=None,
                    help="pooled dispatch deadline in wall seconds")
-    p.add_argument("--no-vec", action="store_true",
-                   help="launch through the traced engine only "
-                        "(bit-identical; disables the fused evaluator)")
     p.add_argument("--rank-aligned", action="store_true",
                    help="split shards along rank boundaries (no shard "
                         "straddles a rank of the topology)")

@@ -220,19 +220,19 @@ class Method(ABC):
         self.evaluate(ctx, x)
         return ctx.reset()
 
-    def mean_slots(self, xs: np.ndarray, batch: bool = True) -> float:
+    def mean_slots(self, xs: np.ndarray) -> float:
         """Average per-element instruction slots over a sample of inputs.
 
         Uses the batched traced-execution engine (one scalar trace per
         distinct cost path) when the method classifies its paths; otherwise
         falls back to an element-by-element scalar loop.  Both give the same
-        result bit for bit; ``batch=False`` forces the scalar loop.
+        result bit for bit.
         """
         from repro.batch import batch_tally
         xs = np.asarray(xs, dtype=_F32)
         if xs.size == 0:
             raise ConfigurationError("mean_slots needs at least one input")
-        result = batch_tally(self, xs, batch=batch)
+        result = batch_tally(self, xs)
         return result.tally.slots / xs.size
 
     # ------------------------------------------------------------------

@@ -56,6 +56,16 @@ class Tally:
         """Number of times operation ``name`` was executed."""
         return self.counts.get(name, 0)
 
+    def scaled(self, factor) -> "Tally":
+        """This tally times ``factor`` (an int factor keeps fields exact)."""
+        return Tally(
+            slots=self.slots * factor,
+            dma_transactions=self.dma_transactions * factor,
+            dma_bytes=self.dma_bytes * factor,
+            dma_latency=self.dma_latency * factor,
+            counts={name: n * factor for name, n in self.counts.items()},
+        )
+
 
 class CycleCounter:
     """Computes values in 32-bit semantics while charging instruction costs.

@@ -26,8 +26,8 @@ machine-checks them with four passes:
 
 Four *whole-program* passes extend the verifier from single kernels to the
 compiled-plan architecture (``repro.plan`` / ``repro.batch`` /
-``repro.obs``) — the static gate for multi-process scale-out (ROADMAP
-item 3):
+``repro.obs``) — the static gate for multi-process scale-out
+(:mod:`repro.plan.pool`):
 
 ``cache-key``
     Attribute-taint soundness of the :class:`~repro.plan.cache.PlanKey`:

@@ -77,19 +77,20 @@ __all__ = [
 ]
 
 #: ExecutionPlan attribute -> PlanKey field(s) that represent it.  ``method``
-#: folds into the table signature *and* the placement; ``system`` carries
-#: the system config, the op-cost table, and the config's channel/rank
-#: topology signature.
+#: folds into the table signature *and* the placement; ``image`` (the built
+#: method plus its evaluator) is identified by the table signature;
+#: ``system`` carries the system config (channel/rank topology included)
+#: and the op-cost table.
 DEFAULT_COVERAGE: Dict[str, Tuple[str, ...]] = {
     "method": ("table_key", "placement"),
+    "image": ("table_key",),
     "kernel": ("table_key",),
     "placement": ("placement",),
-    "system": ("system", "costs", "topology"),
+    "system": ("system", "costs"),
     "tasklets": ("tasklets",),
     "sample_size": ("sample_size",),
     "transfers": ("transfers",),
     "imbalance": ("imbalance",),
-    "vec_enabled": ("vec",),
 }
 
 #: Mutable runtime state: read (and written) during execute, but a cache of

@@ -1,10 +1,10 @@
 """Determinism lint: flag nondeterminism sources on plan/batch/obs paths.
 
-Multi-process scale-out (ROADMAP item 3) and the plan-level launch memo both
-rest on one property: an ``ExecutionPlan.execute`` with equal inputs is
-bit-identical, run to run and shard to shard.  This pass walks the analyzed
-module sources (pure AST, nothing imported or executed) and flags the
-constructs that silently break that property:
+Multi-process scale-out (:mod:`repro.plan.pool`) and the plan-level launch
+memo both rest on one property: an ``ExecutionPlan.execute`` with equal
+inputs is bit-identical, run to run and shard to shard.  This pass walks the
+analyzed module sources (pure AST, nothing imported or executed) and flags
+the constructs that silently break that property:
 
 ``unseeded-rng`` (error)
     ``np.random.default_rng()`` with no seed, legacy global-state draws

@@ -1,8 +1,8 @@
 """Parallel-safety: plans and their reachable state must cross processes.
 
-ROADMAP item 3 lifts :func:`~repro.plan.dispatch.execute_sharded` onto a
-``multiprocessing`` pool.  That is only safe if everything a shard needs —
-the :class:`~repro.plan.plan.ExecutionPlan`, its
+:mod:`repro.plan.pool` lifts :func:`~repro.plan.dispatch.execute_sharded`
+onto a ``multiprocessing`` pool.  That is only safe if everything a shard
+needs — the :class:`~repro.plan.plan.ExecutionPlan`, its
 :class:`~repro.plan.plan.TransferSchedule`, the built table images, and the
 shard descriptors — is built from picklable, lock-free, handle-free types.
 This pass certifies that *dynamically but exhaustively*: it compiles
@@ -223,7 +223,7 @@ def default_targets() -> List[Tuple[str, object]]:
             shipment=shipment, index=0, n_dpus=4, inputs=xs[:100],
             virtual_n=None, imbalance=None,
             rng=spawn_shard_rngs(np.random.default_rng(3), 2)[0],
-            batch=True, capture_trace=False, capture_metrics=False,
+            capture_trace=False, capture_metrics=False,
         )
         targets.append(("pool_shard_task", task))
         targets.append(("pool_shard_task_aligned",
@@ -232,8 +232,8 @@ def default_targets() -> List[Tuple[str, object]]:
                             inputs=xs[100:], virtual_n=None, imbalance=None,
                             rng=spawn_shard_rngs(
                                 np.random.default_rng(3), 2)[1],
-                            batch=True, capture_trace=False,
-                            capture_metrics=False, dpu_range=(4, 8),
+                            capture_trace=False, capture_metrics=False,
+                            dpu_range=(4, 8),
                         )))
         targets.append(("pool_shipment", shipment))
     finally:

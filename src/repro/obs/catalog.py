@@ -31,11 +31,7 @@ COUNTERS: Dict[str, str] = {
     "batch.vec.runs": "fused evaluations served (values + aggregate)",
     "batch.vec.memo.hits": "fused (values, keys, unique) memo hits",
     "batch.vec.memo.misses": "fused array passes computed and memoized",
-    "batch.vec.fallbacks": "vec_run calls that fell back to the traced engine",
-    "batch.vec.tally_memo.hits":
-        "path tallies prefilled into a cold cache from the evaluator memo",
-    "batch.vec.tally_memo.stores":
-        "path tallies harvested into the evaluator's per-placement memo",
+    "batch.vec.fallbacks": "launches the evaluator abstained on (scalar)",
     # per-core simulation
     "dpu.kernel_runs": "DPU.run_kernel invocations",
     "dpu.dma_bytes": "MRAM DMA bytes moved by kernels",
@@ -52,9 +48,9 @@ COUNTERS: Dict[str, str] = {
     "topology.subranges": "topology slices carved for shard sub-systems",
     # compiled plans
     "plan.compiles": "ExecutionPlans compiled",
-    "plan.executions": "plan.execute launches",
-    "plan.launch_memo.hits": "launches served from the result memo",
-    "plan.launch_memo.misses": "launches simulated and memoized",
+    "plan.executions": "plan launches (execute and simulate)",
+    "plan.launch_memo.hits": "top-level launches served from the result memo",
+    "plan.launch_memo.misses": "top-level launches simulated and memoized",
     # plan cache
     "plancache.hits": "compiled plans served from the LRU",
     "plancache.misses": "plan compilations on cache miss",

@@ -60,18 +60,6 @@ class KernelResult:
         return self.cycles / self.n_elements
 
 
-def _scale_tally(tally: Tally, factor: float) -> Tally:
-    """Return a tally scaled by ``factor`` (fields become floats)."""
-    scaled = Tally(
-        slots=tally.slots * factor,
-        dma_transactions=tally.dma_transactions * factor,
-        dma_bytes=tally.dma_bytes * factor,
-        dma_latency=tally.dma_latency * factor,
-    )
-    scaled.counts = {k: v * factor for k, v in tally.counts.items()}
-    return scaled
-
-
 class DPU:
     """One simulated PIM core with its WRAM, MRAM, and pipeline."""
 
@@ -137,9 +125,8 @@ class DPU:
         bytes_out_per_element: int = 4,
         rng: Optional[np.random.Generator] = None,
         virtual_n: Optional[int] = None,
-        batch: bool = True,
         tally_cache: Optional[dict] = None,
-        vec=None,
+        evaluator=None,
     ) -> KernelResult:
         """Simulate running ``kernel`` over ``inputs`` with ``tasklets`` threads.
 
@@ -149,30 +136,20 @@ class DPU:
         TransPimLib kernels are data-oblivious up to branch direction, and the
         sample preserves the input distribution.
 
-        When ``kernel`` is a :class:`~repro.core.method.Method`'s ``evaluate``
-        and ``batch`` is true, the sample's tally comes from the batched
-        traced-execution engine (``repro.batch``): the sample is classified
-        into cost paths and one representative per path is traced.  The
-        aggregate is bit-identical to the per-element scalar loop (the
-        differential harness in ``tests/batch/`` enforces this), so reported
-        cycle numbers do not change — only the tracing cost drops.
-        ``batch=False`` forces the scalar loop.
+        When ``kernel`` is a :class:`~repro.core.method.Method`'s
+        ``evaluate``, one fused array pass
+        (:class:`~repro.batch.vec.VecEvaluator`: ``evaluator`` when given,
+        a throwaway one otherwise) produces the sample outputs and the cost
+        aggregate with one scalar trace per distinct cost path —
+        bit-identical to tracing every sampled element (the differential
+        harnesses in ``tests/batch/`` enforce this).  ``tally_cache`` (path
+        key -> Tally) carries those traces across launches.  Where the
+        evaluator abstains, and for every other kernel, each sampled
+        element is traced in a scalar loop.
 
         ``virtual_n`` treats ``inputs`` as a sample standing in for a larger
         array of that many elements drawn from the same distribution —
         tracing cost is bounded while timing reflects the full size.
-
-        ``tally_cache`` is a path-key -> Tally dict handed to the batch
-        engine so repeated launches (an ExecutionPlan's steady state) skip
-        scalar tracing for already-seen cost paths.
-
-        ``vec`` is an optional compiled
-        :class:`~repro.batch.vec.VecEvaluator` for the same method: when it
-        classifies the sample, one fused array pass produces the sample
-        outputs *and* the cost aggregate (bit-identical to
-        ``batch_tally`` + ``evaluate_vec`` — the vec differential harness
-        enforces this), and its memo carries repeated launches.  When it
-        abstains, the traced engine below runs unchanged.
         """
         inputs = np.asarray(inputs, dtype=np.float32)
         # 1-D arrays are streams of scalars; 2-D arrays are streams of
@@ -189,26 +166,22 @@ class DPU:
             idx = generator.choice(available, size=sample_size, replace=False)
             sample = inputs[np.sort(idx)]
 
-        method = self._batchable_method(kernel) if batch else None
+        method = self._batchable_method(kernel)
         with _span("dpu.trace", sample_size=len(sample),
                    batched=method is not None) as trace_sp:
+            fused = None
             if method is not None:
-                from repro.batch import batch_tally
+                from repro.batch.vec import VecEvaluator
 
-                fused = None
-                if vec is not None and vec.method is method:
-                    fused = vec.run(sample, tally_cache=tally_cache)
-                if fused is not None:
-                    sample_tally = fused.batch.tally
-                    outputs = fused.values
-                    trace_sp.set(n_cost_paths=len(fused.batch.paths),
-                                 vec=True)
-                else:
-                    result = batch_tally(method, sample,
-                                         tally_cache=tally_cache)
-                    sample_tally = result.tally
-                    outputs = method.evaluate_vec(sample)
-                    trace_sp.set(n_cost_paths=len(result.paths))
+                if evaluator is None or evaluator.method is not method:
+                    evaluator = VecEvaluator(method)
+                fused = evaluator.run(sample, tally_cache=tally_cache)
+                if fused is None:
+                    _metrics.inc("batch.vec.fallbacks")
+            if fused is not None:
+                sample_tally = fused.batch.tally
+                outputs = fused.values
+                trace_sp.set(n_cost_paths=len(fused.batch.paths), vec=True)
             else:
                 sample_tally = Tally()
                 outputs = []
@@ -217,8 +190,8 @@ class DPU:
                     sample_tally.add(tally)
                     outputs.append(y)
 
-        per_element = _scale_tally(sample_tally, 1.0 / len(sample))
-        total = _scale_tally(per_element, float(n))
+        per_element = sample_tally.scaled(1.0 / len(sample))
+        total = per_element.scaled(float(n))
         total.add(self._streaming_tally(n, bytes_in_per_element, bytes_out_per_element))
 
         estimate = self.pipeline.estimate(total, tasklets)
@@ -280,7 +253,7 @@ class DPU:
                 f"max_units={max_units}; use run_kernel() for large arrays"
             )
         sim = simulate(programs, self.config)
-        per_element = _scale_tally(total, 1.0 / n)
+        per_element = total.scaled(1.0 / n)
         return KernelResult(
             n_elements=n,
             tasklets=tasklets,

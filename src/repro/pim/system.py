@@ -104,7 +104,6 @@ class PIMSystem:
         imbalance: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         virtual_n: Optional[int] = None,
-        batch: bool = True,
     ) -> SystemRunResult:
         """Simulate a whole-system run of ``kernel`` over ``inputs``.
 
@@ -120,8 +119,9 @@ class PIMSystem:
         barrier at the gather).
 
         This is sugar over the plan/execute split: a throwaway plan is
-        compiled and executed per call.  Repeated launches should hold a
-        plan (:meth:`plan` or a PlanCache) and ``execute`` it instead.
+        compiled and simulated per call (no launch memo — nothing would
+        read it again).  Repeated launches should hold a plan
+        (:meth:`plan` or a PlanCache) and ``execute`` it instead.
         """
         from repro.plan.plan import ExecutionPlan, TransferSchedule
 
@@ -135,8 +135,8 @@ class PIMSystem:
             ),
             imbalance=imbalance,
         )
-        return plan.execute(inputs, virtual_n=virtual_n, rng=rng,
-                            batch=batch, span_name="system.run")
+        return plan.simulate(inputs, virtual_n=virtual_n, rng=rng,
+                             span_name="system.run")
 
     def run_sharded(
         self,
@@ -153,7 +153,6 @@ class PIMSystem:
         imbalance: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         virtual_n: Optional[int] = None,
-        batch: bool = True,
         workers: Optional[int] = None,
         pool=None,
         start_method: Optional[str] = None,
@@ -192,7 +191,7 @@ class PIMSystem:
         )
         return execute_sharded(
             plan, inputs, n_shards=shards, overlap=overlap,
-            virtual_n=virtual_n, imbalance=imbalance, rng=rng, batch=batch,
+            virtual_n=virtual_n, imbalance=imbalance, rng=rng,
             workers=workers, pool=pool, start_method=start_method,
             timeout=timeout, rank_aligned=rank_aligned,
         )

@@ -8,14 +8,18 @@ composites (recursively), the reducer's ``assume_in_range``, the op-cost
 table, and at the plan level the placement, system configuration, tasklet
 count, sample size, transfer schedule, and imbalance.
 
-Two tiers, because tables are placement-independent but tallies are not:
+Two tiers, because tables are placement-independent but launches are not:
 
 * the **method pool** keys off the placement-*excluded* signature and holds
-  one built Method per table image — a WRAM plan and an MRAM plan of the
-  same geometry share tables (and the ``memo`` of derived data such as the
-  sweep's RMSE evaluation) without rebuilding;
+  one :class:`~repro.plan.plan.TableImage` per table — the built Method
+  plus everything derived from it once: the fused array evaluator, one
+  path-tally dict per placement, and the ``memo`` of derived data such as
+  the sweep's RMSE evaluation.  A WRAM plan and an MRAM plan of the same
+  geometry share tables and evaluator without rebuilding, and every plan
+  of one (image, placement) — whatever its tasklets, sample size or
+  system — shares one tally dict;
 * the **plan LRU** keys off the full launch configuration and holds the
-  compiled plans themselves, each with its own path-tally cache.
+  compiled plans themselves.
 
 Both tiers are bounded LRUs; hit/miss/evict counters surface through
 ``repro.obs.metrics`` (``plancache.*``) and as attributes for tests.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -36,7 +40,8 @@ from repro.isa.opcosts import OpCosts
 from repro.obs import metrics as _metrics
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
-from repro.plan.plan import ExecutionPlan, TransferSchedule, compile_plan
+from repro.plan.plan import (ExecutionPlan, TableImage, TransferSchedule,
+                             compile_plan)
 
 __all__ = ["PlanCache", "PlanKey", "key_for", "plan_signature",
            "table_signature"]
@@ -121,31 +126,21 @@ class PlanKey:
 
     table_key: str
     placement: str
+    #: The system configuration by value — its channel/DIMM/rank topology
+    #: included, so two systems with equal ``n_dpus`` but a different
+    #: rank structure (which changes unbalanced timings) never collide.
     system: SystemConfig
     costs: OpCosts
     tasklets: int
     sample_size: int
     transfers: TransferSchedule
     imbalance: float
-    #: Whether the plan routes launches through the array-compiled fused
-    #: evaluator (:mod:`repro.batch.vec`).  Results are bit-identical
-    #: either way, but the flag is observable plan behavior (metrics,
-    #: describe, fallback path), so a vec-disabled lookup must never be
-    #: served a vec-enabled plan.
-    vec: bool = True
-    #: Compact signature of the system's channel/DIMM/rank hierarchy
-    #: (:meth:`Topology.signature`).  The ``system`` field already embeds
-    #: the full topology by value; this surfaces it as its own covered
-    #: component so serve-side request keys and coalescing stay aligned
-    #: with plan-cache identity when only the hierarchy differs (same
-    #: ``n_dpus``, different rank structure changes unbalanced timings).
-    topology: str = ""
 
 
 def key_for(system: PIMSystem, method: Method, *,
             tasklets: int = 16, sample_size: int = 64,
             transfers: Optional[TransferSchedule] = None,
-            imbalance: float = 0.0, vec: bool = True) -> PlanKey:
+            imbalance: float = 0.0) -> PlanKey:
     """The PlanKey a :meth:`PlanCache.plan` call with these arguments uses.
 
     Module-level so key producers that are not caches — the serving front
@@ -162,17 +157,7 @@ def key_for(system: PIMSystem, method: Method, *,
         transfers=transfers if transfers is not None
         else TransferSchedule(),
         imbalance=imbalance,
-        vec=vec,
-        topology=system.config.topology.signature(),
     )
-
-
-@dataclass
-class _PoolEntry:
-    """One built table image shared by every placement's plan."""
-
-    method: Method
-    memo: dict = field(default_factory=dict)
 
 
 class PlanCache:
@@ -188,7 +173,7 @@ class PlanCache:
         if self.method_pool_size < 1:
             raise ConfigurationError("PlanCache needs method_pool_size >= 1")
         self._plans: "OrderedDict[PlanKey, ExecutionPlan]" = OrderedDict()
-        self._methods: "OrderedDict[str, _PoolEntry]" = OrderedDict()
+        self._methods: "OrderedDict[str, TableImage]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -204,19 +189,10 @@ class PlanCache:
 
     # ------------------------------------------------------------------
 
-    def key_for(self, system: PIMSystem, method: Method, *,
-                tasklets: int = 16, sample_size: int = 64,
-                transfers: Optional[TransferSchedule] = None,
-                imbalance: float = 0.0, vec: bool = True) -> PlanKey:
-        """The PlanKey a :meth:`plan` call with these arguments would use."""
-        return key_for(system, method, tasklets=tasklets,
-                       sample_size=sample_size, transfers=transfers,
-                       imbalance=imbalance, vec=vec)
-
     def plan(self, system: PIMSystem, method: Method, *,
              tasklets: int = 16, sample_size: int = 64,
              transfers: Optional[TransferSchedule] = None,
-             imbalance: float = 0.0, vec: bool = True) -> ExecutionPlan:
+             imbalance: float = 0.0) -> ExecutionPlan:
         """The compiled plan for this launch configuration, cached.
 
         On a plan miss, the method pool is consulted first: an equivalent
@@ -226,9 +202,9 @@ class PlanCache:
         ``method`` may be passed un-setup — compilation builds it (or
         skips the build entirely on a pool hit).
         """
-        key = self.key_for(system, method, tasklets=tasklets,
-                           sample_size=sample_size, transfers=transfers,
-                           imbalance=imbalance, vec=vec)
+        key = key_for(system, method, tasklets=tasklets,
+                      sample_size=sample_size, transfers=transfers,
+                      imbalance=imbalance)
         cached = self._plans.get(key)
         if cached is not None:
             self._plans.move_to_end(key)
@@ -238,20 +214,20 @@ class PlanCache:
         self.misses += 1
         _metrics.inc("plancache.misses")
 
-        entry = self._methods.get(key.table_key)
-        pooled_hit = entry is not None
-        if entry is None:
-            entry = _PoolEntry(method=method)
+        image = self._methods.get(key.table_key)
+        pooled_hit = image is not None
+        if image is None:
+            image = TableImage(method)
         else:
             self._methods.move_to_end(key.table_key)
-        pooled = entry.method
+        pooled = image.method
         if pooled_hit and pooled.placement != key.placement:
             pooled.set_placement(key.placement)
 
         plan = compile_plan(
             system, pooled, tasklets=tasklets, sample_size=sample_size,
             transfers=key.transfers, imbalance=imbalance,
-            signature=plan_signature(pooled), memo=entry.memo, vec=vec,
+            signature=plan_signature(pooled), image=image,
         )
         # Pool only after a successful compile: a failing table build must
         # not leave a half-built method answering future pool lookups.
@@ -261,7 +237,7 @@ class PlanCache:
         else:
             self.table_misses += 1
             _metrics.inc("plancache.table_misses")
-            self._methods[key.table_key] = entry
+            self._methods[key.table_key] = image
         self._plans[key] = plan
         self._evict()
         return plan

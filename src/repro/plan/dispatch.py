@@ -5,8 +5,8 @@ groups and overlapping each group's host<->PIM transfers with other groups'
 kernels ("UPMEM Unleashed", PAPERS.md).  This module models that on top of
 compiled plans: :func:`execute_sharded` splits the input across ``n_shards``
 disjoint DPU groups, launches the same :class:`~repro.plan.plan.ExecutionPlan`
-on each group (sub-plans share the parent's path-tally cache, so tracing is
-paid once), and assembles a timeline —
+on each group (sub-plans share the parent's table image, so tracing is paid
+once), and assembles a timeline —
 
 * ``overlap=False``: shards launch back to back, exactly like calling
   ``run()`` once per slice; the total is the bit-exact running sum of the
@@ -227,7 +227,7 @@ def _shard_inputs(inputs: np.ndarray, counts: Sequence[int],
 
 
 def _pooled_shard_runs(plan, split, pieces, imbalances, shard_rngs, *,
-                       batch, workers, pool, start_method, timeout,
+                       workers, pool, start_method, timeout,
                        dpu_ranges=None, channels=None):
     """Run every shard on a worker pool; graft traces, merge metrics.
 
@@ -254,7 +254,7 @@ def _pooled_shard_runs(plan, split, pieces, imbalances, shard_rngs, *,
     ]
     try:
         outcomes, _wall = shard_pool.run_shards(
-            plan, specs, batch=batch,
+            plan, specs,
             capture_trace=tracer is not None,
             capture_metrics=registry is not None,
             timeout=timeout,
@@ -296,7 +296,6 @@ def execute_sharded(
     virtual_n: Optional[int] = None,
     imbalance: Union[None, float, Sequence[float]] = None,
     rng: Optional[np.random.Generator] = None,
-    batch: bool = True,
     workers: Optional[int] = None,
     pool=None,
     start_method: Optional[str] = None,
@@ -307,8 +306,9 @@ def execute_sharded(
 
     ``imbalance`` may be a scalar (every shard's straggler factor) or a
     per-shard sequence of length ``n_shards``; ``None`` uses the plan's.
-    All shard sub-plans share the parent plan's path-tally cache, so the
-    scalar tracing cost of a cold plan is paid once, not per shard.
+    All shard sub-plans share the parent plan's table image, so the scalar
+    tracing cost of a cold plan is paid once, not per shard; their
+    launches skip the launch memo (:meth:`ExecutionPlan.simulate`).
 
     A caller ``rng`` seeds the whole dispatch: it is split into independent
     per-shard child generators (:func:`spawn_shard_rngs`), so every shard's
@@ -363,7 +363,7 @@ def execute_sharded(
         if pooled:
             dsp.set(pooled=True)
             handles, runs = _pooled_shard_runs(
-                plan, split, pieces, imbalances, shard_rngs, batch=batch,
+                plan, split, pieces, imbalances, shard_rngs,
                 workers=workers, pool=pool, start_method=start_method,
                 timeout=timeout, dpu_ranges=dpu_ranges, channels=channels,
             )
@@ -382,10 +382,9 @@ def execute_sharded(
                     attrs = {}
                 with _span("shard", index=i, n_elements=n_i,
                            n_dpus=dpus_i, **attrs) as ssp:
-                    r = plan.for_system(sub).execute(
+                    r = plan.for_system(sub).simulate(
                         xs_i, virtual_n=vn_i, rng=shard_rngs[i],
-                        batch=batch, imbalance=imbalances[i],
-                        span_name="shard.execute",
+                        imbalance=imbalances[i], span_name="shard.execute",
                     )
                 handles.append(ssp)
                 runs.append(r)

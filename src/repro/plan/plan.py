@@ -8,10 +8,11 @@ is compiled once per (kernel, system configuration) and captures everything
 
 * the table image and placement (the bound :class:`~repro.core.method.Method`
   after :meth:`~repro.core.method.Method.setup`),
-* the bound batch cost-path classifier plus a **path-tally cache** that
-  amortizes scalar tracing across launches (equal path key means
-  bit-identical tally, the invariant the differential harness in
-  ``tests/batch/`` enforces — so a cached tally is exact, not approximate),
+* the :class:`TableImage` around that method: its compiled fused array
+  evaluator plus a **path-tally cache** per placement that amortizes
+  scalar tracing across launches (equal path key means bit-identical
+  tally, the invariant the differential harness in ``tests/batch/``
+  enforces — so a cached tally is exact, not approximate),
 * the transfer schedule (:class:`TransferSchedule`: bytes per element,
   whether transfers are modeled, whether they are balanced),
 * the launch geometry (tasklets, sample size, imbalance) and the SPMD
@@ -26,14 +27,13 @@ two paths equal field for field across the whole ``METHOD_SUPPORT`` matrix.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.batch.vec import VecEvaluator, compile_vec
+from repro.batch.vec import VecEvaluator, array_digest
 from repro.core.method import Method
 from repro.errors import SimulationError
 from repro.isa.counter import Tally
@@ -42,7 +42,7 @@ from repro.obs.tracer import span as _span
 from repro.pim.dpu import DPU
 from repro.pim.system import PIMSystem, SystemRunResult
 
-__all__ = ["TransferSchedule", "ExecutionPlan", "compile_plan"]
+__all__ = ["TransferSchedule", "TableImage", "ExecutionPlan", "compile_plan"]
 
 _F32 = np.float32
 
@@ -102,15 +102,42 @@ class TransferSchedule:
             ranks=ranks)
 
 
+@dataclass(eq=False)
+class TableImage:
+    """One built method and everything derived from it, once.
+
+    A :class:`~repro.plan.cache.PlanCache` pools one image per table
+    signature and hands it to every plan it compiles over that table —
+    any placement, tasklet count or system — so each derived fact has
+    exactly one cache: the fused array evaluator (its memoized passes are
+    placement-independent), the path tallies per placement (traced load
+    costs depend on the placement and nothing else), and ``memo`` for
+    caller-owned derived data such as the sweep's accuracy pass.  Ad-hoc
+    plans own a fresh image; raw kernels get one with no method.
+    """
+
+    method: Optional[Method]
+    evaluator: Optional[VecEvaluator] = None
+    #: placement -> {path key -> traced Tally}.
+    tallies: Dict[Optional[str], Dict[int, Tally]] = field(
+        default_factory=dict)
+    memo: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.method is not None and self.evaluator is None:
+            self.evaluator = VecEvaluator(self.method)
+
+
 class ExecutionPlan:
-    """One compiled launch: kernel, tables, classifier, transfers, split.
+    """One compiled launch: kernel, table image, transfers, split.
 
     Construct via :func:`compile_plan`, :meth:`PIMSystem.plan`, or a
-    :class:`~repro.plan.cache.PlanCache` (which additionally pools built
-    tables across placements and makes recompilation free).  A plan is
-    reusable and stateful only in caches: ``tally_cache`` grows with the
-    distinct cost paths seen, ``memo`` holds caller-owned derived data
-    (e.g. the sweep's RMSE evaluation), and ``executions`` counts launches.
+    :class:`~repro.plan.cache.PlanCache` (which additionally pools table
+    images across placements and makes recompilation free).  A plan is
+    reusable and stateful only in caches: ``tally_cache`` (its image's
+    tallies for the plan's placement) grows with the distinct cost paths
+    seen, ``memo`` is the image's caller-owned derived data (e.g. the
+    sweep's RMSE evaluation), and ``executions`` counts launches.
     """
 
     def __init__(
@@ -118,19 +145,19 @@ class ExecutionPlan:
         system: PIMSystem,
         kernel,
         *,
-        method: Optional[Method] = None,
         tasklets: int = 16,
         sample_size: int = 64,
         transfers: Optional[TransferSchedule] = None,
         imbalance: float = 0.0,
         signature: Optional[str] = None,
-        memo: Optional[dict] = None,
-        vec: bool = True,
+        image: Optional[TableImage] = None,
     ):
         self.system = system
         self.kernel = kernel
-        self.method = method if method is not None \
-            else DPU._batchable_method(kernel)
+        #: The built method and its derived caches (fresh when ad hoc).
+        self.image = image if image is not None \
+            else TableImage(DPU._batchable_method(kernel))
+        self.method = self.image.method
         #: Placement the tables are bound to (None for non-Method kernels).
         self.placement = getattr(self.method, "placement", None)
         self.tasklets = tasklets
@@ -141,24 +168,21 @@ class ExecutionPlan:
         #: Stable identity under :class:`~repro.plan.cache.PlanCache`
         #: (None for ad-hoc plans).
         self.signature = signature
-        #: Whether launches go through the array-compiled fused evaluator
-        #: (:mod:`repro.batch.vec`).  Bit-identical either way — the
-        #: evaluator only changes wall-clock — but it is a PlanKey field
-        #: so a vec-disabled plan never serves a vec-enabled lookup.
-        self.vec_enabled = bool(vec)
-        #: Path key -> traced Tally; shared across launches (and across
-        #: shard sub-plans), exact by the equal-key invariant.
-        self.tally_cache: Dict[int, Tally] = {}
-        #: Caller-owned derived-data memo; a PlanCache shares it between
-        #: the WRAM and MRAM plans of one table image.
-        self.memo: dict = {} if memo is None else memo
-        #: Number of completed :meth:`execute` calls.
+        #: Path key -> traced Tally for this placement, shared with every
+        #: plan over the same image and placement (exact by the equal-key
+        #: invariant).
+        self.tally_cache: Dict[int, Tally] = \
+            self.image.tallies.setdefault(self.placement, {})
+        #: Caller-owned derived-data memo, shared across the image.
+        self.memo: dict = self.image.memo
+        #: Number of completed launches.
         self.executions = 0
-        #: Input-hash -> SystemRunResult for deterministic launches (no
-        #: caller rng).  Sampling is seeded per call, so an identical
-        #: launch is bit-identical by construction; the memo skips the
-        #: whole simulation, not just tracing.  Per-instance (never shared
-        #: by :meth:`for_system` — the split differs across systems).
+        #: (input digest, shape, virtual_n, imbalance) -> SystemRunResult
+        #: for deterministic top-level launches (no caller rng).  Sampling
+        #: is seeded per call, so an identical launch is bit-identical by
+        #: construction; the memo skips the whole simulation, not just
+        #: tracing.  Per-instance: :meth:`for_system` clones start empty
+        #: and shard sub-launches (:meth:`simulate`) never consult it.
         self._launch_memo: "OrderedDict[tuple, SystemRunResult]" \
             = OrderedDict()
 
@@ -172,57 +196,25 @@ class ExecutionPlan:
     def for_system(self, system: PIMSystem) -> "ExecutionPlan":
         """The same compiled launch retargeted to another system.
 
-        The clone *shares* this plan's path-tally cache and memo — the
-        kernel, costs, and placement are identical, so cached tallies stay
-        exact; only the SPMD split and transfer times differ.  The sharded
-        dispatcher uses this to run one plan over per-shard DPU groups.
+        The clone *shares* this plan's table image — evaluator, path-tally
+        cache and memo — since the kernel, costs, and placement are
+        identical, cached tallies stay exact; only the SPMD split and
+        transfer times differ.  The sharded dispatcher uses this to run one
+        plan over per-shard DPU groups.
         """
-        clone = ExecutionPlan(
-            system, self.kernel, method=self.method, tasklets=self.tasklets,
+        return ExecutionPlan(
+            system, self.kernel, tasklets=self.tasklets,
             sample_size=self.sample_size, transfers=self.transfers,
             imbalance=self.imbalance, signature=self.signature,
-            memo=self.memo, vec=self.vec_enabled,
+            image=self.image,
         )
-        clone.tally_cache = self.tally_cache
-        return clone
-
-    def _vec_evaluator(self) -> Optional[VecEvaluator]:
-        """The plan's compiled array evaluator, or None when disabled.
-
-        Lives in ``memo`` — the dict a :class:`~repro.plan.cache.PlanCache`
-        shares between every placement's plan of one table image — because
-        the evaluator's memoized ``(values, keys, unique)`` triples are
-        placement-independent: a WRAM and an MRAM plan re-running the same
-        batch share the array passes and only re-derive per-path tallies
-        through their own ``tally_cache``.
-        """
-        if not self.vec_enabled or self.method is None:
-            return None
-        evaluator = self.memo.get("vec_evaluator")
-        if evaluator is None or evaluator.method is not self.method:
-            evaluator = compile_vec(self.method)
-            self.memo["vec_evaluator"] = evaluator
-        return evaluator
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Bit-exact float32 evaluation (the accuracy path; Methods only).
-
-        Served from the fused evaluator's memo when the plan has one —
-        repeated accuracy sweeps over the same inputs (including the same
-        table image at the other placement) skip the array passes.  The
-        result may be a read-only view of the memoized array.
-        """
+        """Bit-exact float32 evaluation (the accuracy path; Methods only)."""
         if self.method is None:
             raise SimulationError(
                 "plan wraps a raw kernel; values() needs a Method")
-        self._bind_placement()
-        x = np.asarray(x, dtype=_F32)
-        evaluator = self._vec_evaluator()
-        if evaluator is not None:
-            fused = evaluator.values(x.ravel())
-            if fused is not None:
-                return fused.reshape(x.shape)
-        return self.method.evaluate_vec(x)
+        return self.method.evaluate_vec(np.asarray(x, dtype=_F32))
 
     def _bind_placement(self) -> None:
         """Repoint shared tables at this plan's placement before tracing.
@@ -243,7 +235,6 @@ class ExecutionPlan:
         *,
         virtual_n: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        batch: bool = True,
         imbalance: Optional[float] = None,
         span_name: str = "plan.execute",
     ) -> SystemRunResult:
@@ -251,16 +242,57 @@ class ExecutionPlan:
 
         Per-call knobs mirror :meth:`PIMSystem.run`: ``virtual_n`` treats
         ``inputs`` as a sample standing in for that many elements, ``rng``
-        seeds the trace-sample draw, ``batch=False`` forces per-element
-        scalar tracing, and ``imbalance`` overrides the plan's straggler
-        factor for this launch only.  Everything else — transfer schedule,
-        tasklets, sample size — was fixed at compile time.
+        seeds the trace-sample draw, and ``imbalance`` overrides the plan's
+        straggler factor for this launch only.  Everything else — transfer
+        schedule, tasklets, sample size — was fixed at compile time.
 
         Launches without a caller ``rng`` are fully deterministic (the
         sample draw is seeded per call), so their results are memoized by
         input content: re-launching the same array returns the cached
         :class:`SystemRunResult` without re-simulating.  Passing ``rng``
-        bypasses the memo.
+        bypasses the memo; :meth:`simulate` is the memo-free launch.
+        """
+        self._bind_placement()
+        inputs = np.asarray(inputs, dtype=_F32)
+        if rng is not None:
+            return self.simulate(inputs, virtual_n=virtual_n, rng=rng,
+                                 imbalance=imbalance, span_name=span_name)
+        imb = self.imbalance if imbalance is None else imbalance
+        memo_key = (array_digest(inputs), inputs.shape, virtual_n, imb)
+        cached = self._launch_memo.get(memo_key)
+        if cached is not None:
+            self._launch_memo.move_to_end(memo_key)
+            self.executions += 1
+            _metrics.inc("plan.executions")
+            _metrics.inc("plan.launch_memo.hits")
+            with _span(span_name, n_elements=cached.n_elements,
+                       tasklets=self.tasklets,
+                       n_dpus_used=cached.n_dpus_used,
+                       cached=True) as run_sp:
+                run_sp.set(sim_seconds=cached.total_seconds)
+            return cached
+        result = self.simulate(inputs, virtual_n=virtual_n,
+                               imbalance=imbalance, span_name=span_name)
+        _metrics.inc("plan.launch_memo.misses")
+        self._launch_memo[memo_key] = result
+        while len(self._launch_memo) > _LAUNCH_MEMO_SIZE:
+            self._launch_memo.popitem(last=False)
+        return result
+
+    def simulate(
+        self,
+        inputs: Sequence[float],
+        *,
+        virtual_n: Optional[int] = None,
+        rng: Optional[np.random.Generator] = None,
+        imbalance: Optional[float] = None,
+        span_name: str = "plan.execute",
+    ) -> SystemRunResult:
+        """One launch, simulated: :meth:`execute` without the launch memo.
+
+        Shard sub-launches and throwaway plans run through here — their
+        results are never looked up again, so hashing their inputs would
+        be pure overhead.
         """
         imb = self.imbalance if imbalance is None else imbalance
         if imb < 0:
@@ -270,23 +302,6 @@ class ExecutionPlan:
         n = int(virtual_n if virtual_n is not None else inputs.shape[0])
         if n == 0 or inputs.shape[0] == 0:
             raise SimulationError("cannot run a system kernel over empty input")
-
-        memo_key = None
-        if rng is None:
-            digest = hashlib.blake2b(inputs.tobytes(),
-                                     digest_size=16).digest()
-            memo_key = (digest, inputs.shape, virtual_n, imb, batch)
-            cached = self._launch_memo.get(memo_key)
-            if cached is not None:
-                self._launch_memo.move_to_end(memo_key)
-                self.executions += 1
-                _metrics.inc("plan.executions")
-                _metrics.inc("plan.launch_memo.hits")
-                with _span(span_name, n_elements=n, tasklets=self.tasklets,
-                           n_dpus_used=cached.n_dpus_used,
-                           cached=True) as run_sp:
-                    run_sp.set(sim_seconds=cached.total_seconds)
-                return cached
 
         system = self.system
         config = system.config
@@ -317,9 +332,8 @@ class ExecutionPlan:
                     bytes_out_per_element=sched.bytes_out_per_element,
                     rng=rng,
                     virtual_n=n,
-                    batch=batch,
-                    tally_cache=self.tally_cache if batch else None,
-                    vec=self._vec_evaluator() if batch else None,
+                    tally_cache=self.tally_cache,
+                    evaluator=self.image.evaluator,
                 )
                 share = per_core / n * (1.0 + imb)
                 kernel_seconds = core_result.seconds * share
@@ -355,11 +369,6 @@ class ExecutionPlan:
             run_sp.set(sim_seconds=result.total_seconds)
         self.executions += 1
         _metrics.inc("plan.executions")
-        if memo_key is not None:
-            _metrics.inc("plan.launch_memo.misses")
-            self._launch_memo[memo_key] = result
-            while len(self._launch_memo) > _LAUNCH_MEMO_SIZE:
-                self._launch_memo.popitem(last=False)
         return result
 
     # ------------------------------------------------------------------
@@ -393,8 +402,8 @@ class ExecutionPlan:
              f"out {sched.bytes_out_per_element} B/elem, "
              f"{'balanced' if sched.balanced else 'serialized'}"
              if sched.include_transfers else "none (operands resident)"),
-            ("vec evaluator", "enabled" if self.vec_enabled and m is not None
-             else "disabled"),
+            ("vec evaluator", "none (raw kernel)" if m is None
+             else self.image.evaluator.mode),
             ("cached cost paths", len(self.tally_cache)),
             ("executions", self.executions),
         ]
@@ -420,8 +429,7 @@ def compile_plan(
     transfers: Optional[TransferSchedule] = None,
     imbalance: float = 0.0,
     signature: Optional[str] = None,
-    memo: Optional[dict] = None,
-    vec: bool = True,
+    image: Optional[TableImage] = None,
 ) -> ExecutionPlan:
     """Compile ``target`` (a Method or a raw kernel) into an ExecutionPlan.
 
@@ -429,12 +437,14 @@ def compile_plan(
     the one-time table build of Figure 1(c); the returned plan then launches
     without ever rebuilding.  Raw kernels compile to an unclassified plan
     (scalar-traced, uncacheable by signature) so every existing workload
-    kernel still fits the same pipeline.
+    kernel still fits the same pipeline.  ``image`` is the pooled
+    :class:`TableImage` of ``target`` (a PlanCache passes its own); without
+    one the plan owns a fresh image.
     """
-    if isinstance(target, Method):
-        method, kernel = target, target.evaluate
-    else:
-        method, kernel = DPU._batchable_method(target), target
+    kernel = target.evaluate if isinstance(target, Method) else target
+    if image is None:
+        image = TableImage(DPU._batchable_method(kernel))
+    method = image.method
     with _span("plan.compile") as sp:
         if method is not None and not method._ready:
             with _span("plan.table_build") as build_sp:
@@ -442,9 +452,9 @@ def compile_plan(
                 build_sp.set(table_bytes=method.table_bytes(),
                              entries=method.host_entries())
         plan = ExecutionPlan(
-            system, kernel, method=method, tasklets=tasklets,
+            system, kernel, tasklets=tasklets,
             sample_size=sample_size, transfers=transfers,
-            imbalance=imbalance, signature=signature, memo=memo, vec=vec,
+            imbalance=imbalance, signature=signature, image=image,
         )
         sp.set(table_bytes=plan.table_bytes,
                placement=plan.placement or "-",

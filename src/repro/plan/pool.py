@@ -1,10 +1,9 @@
 """Multiprocess shard execution: one plan, many worker processes.
 
-This is ROADMAP item 3's wall-clock half.  :mod:`repro.plan.dispatch`
-models a sharded launch; this module actually *runs* the shards in
-parallel on a ``multiprocessing`` worker pool so a full-rank (2545-DPU)
-simulation uses the host's cores instead of iterating shards in one
-process.
+:mod:`repro.plan.dispatch` models a sharded launch; this module actually
+*runs* the shards in parallel on a ``multiprocessing`` worker pool so a
+full-rank (2545-DPU) simulation uses the host's cores instead of iterating
+shards in one process.
 
 The contract is bit-exactness: a pooled dispatch must return values,
 slots, tallies, and span-reconciled timings identical to the inline path
@@ -242,7 +241,6 @@ class ShardTask:
     virtual_n: Optional[int]
     imbalance: Optional[float]
     rng: Optional[np.random.Generator]
-    batch: bool
     capture_trace: bool
     capture_metrics: bool
     #: Usable-DPU slice this shard owns (rank-aligned dispatch only).
@@ -290,10 +288,9 @@ def _run_shard_task(task: ShardTask):
         with tracing(tracer) if tracer is not None else _nullcontext():
             with collecting(registry) if registry is not None \
                     else _nullcontext():
-                result = plan.for_system(sub).execute(
+                result = plan.for_system(sub).simulate(
                     task.inputs, virtual_n=task.virtual_n, rng=task.rng,
-                    batch=task.batch, imbalance=task.imbalance,
-                    span_name="shard.execute",
+                    imbalance=task.imbalance, span_name="shard.execute",
                 )
         busy = time.perf_counter() - t0
         for root in (tracer.roots if tracer is not None else []):
@@ -467,7 +464,6 @@ class ShardPool:
                               Optional[float],
                               Optional[np.random.Generator]]],
         *,
-        batch: bool = True,
         capture_trace: bool = False,
         capture_metrics: bool = False,
         timeout: Optional[float] = None,
@@ -493,7 +489,7 @@ class ShardPool:
         tasks = [
             ShardTask(shipment=shipment, index=i, n_dpus=n_dpus,
                       inputs=inputs, virtual_n=virtual_n,
-                      imbalance=imbalance, rng=rng, batch=batch,
+                      imbalance=imbalance, rng=rng,
                       capture_trace=capture_trace,
                       capture_metrics=capture_metrics,
                       dpu_range=dpu_ranges[i] if dpu_ranges is not None

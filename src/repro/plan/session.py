@@ -120,7 +120,6 @@ class PlanSession:
         overlap: bool = False,
         virtual_n: Optional[int] = None,
         transfers: Optional[TransferSchedule] = None,
-        batch: bool = True,
         workers: Optional[int] = None,
         pool=None,
         start_method: Optional[str] = None,
@@ -145,7 +144,7 @@ class PlanSession:
         )
         return self.execute_plan(
             name, plan, inputs, shards=shards, overlap=overlap,
-            virtual_n=virtual_n, batch=batch, workers=workers, pool=pool,
+            virtual_n=virtual_n, workers=workers, pool=pool,
             start_method=start_method, timeout=timeout,
             rank_aligned=rank_aligned,
         )
@@ -159,7 +158,6 @@ class PlanSession:
         shards: int = 1,
         overlap: bool = False,
         virtual_n: Optional[int] = None,
-        batch: bool = True,
         workers: Optional[int] = None,
         pool=None,
         start_method: Optional[str] = None,
@@ -178,15 +176,13 @@ class PlanSession:
             if shards > 1:
                 result = execute_sharded(
                     plan, inputs, n_shards=shards, overlap=overlap,
-                    virtual_n=virtual_n, batch=batch, workers=workers,
-                    pool=pool, start_method=start_method, timeout=timeout,
+                    virtual_n=virtual_n, workers=workers, pool=pool,
+                    start_method=start_method, timeout=timeout,
                     rank_aligned=rank_aligned,
                 )
             else:
                 result = plan.execute(
-                    np.asarray(inputs, dtype=_F32), virtual_n=virtual_n,
-                    batch=batch,
-                )
+                    np.asarray(inputs, dtype=_F32), virtual_n=virtual_n)
             sp.set(sim_seconds=result.total_seconds,
                    n_elements=result.n_elements)
         self._record(label, result, shards, overlap)
@@ -214,7 +210,6 @@ class PlanSession:
         shards: int = 1,
         virtual_n: Optional[int] = None,
         transfers: Optional[TransferSchedule] = None,
-        batch: bool = True,
         workers: Optional[int] = None,
         pool=None,
         start_method: Optional[str] = None,
@@ -273,9 +268,8 @@ class PlanSession:
                     if shards > 1:
                         result = execute_sharded(
                             plan, inputs, n_shards=shards, overlap=False,
-                            virtual_n=virtual_n, batch=batch,
-                            pool=stream_pool, timeout=timeout,
-                            rank_aligned=rank_aligned,
+                            virtual_n=virtual_n, pool=stream_pool,
+                            timeout=timeout, rank_aligned=rank_aligned,
                         )
                         for k, shard in enumerate(result.shards):
                             r = shard.result
@@ -290,8 +284,7 @@ class PlanSession:
                     else:
                         result = plan.execute(
                             np.asarray(inputs, dtype=_F32),
-                            virtual_n=virtual_n, batch=batch,
-                        )
+                            virtual_n=virtual_n)
                         items.append(StageItem(
                             key=f"{j}:{name}",
                             h2p=result.host_to_pim_seconds,

@@ -4,7 +4,8 @@ Two requests may share one coalesced batch — and therefore one compiled
 :class:`~repro.plan.plan.ExecutionPlan` — exactly when they would compile
 to the same :class:`~repro.plan.cache.PlanKey`: same kernel (function +
 method + every precision knob, q-format included), same placement, same
-system configuration and op costs, same launch geometry, same vec flag.
+system configuration (topology included) and op costs, same launch
+geometry.
 
 A :class:`RequestSpec` is the request-side half of that identity,
 *normalized* so that textually different ways of asking for the same
@@ -24,7 +25,7 @@ kernel collapse onto one key:
 The mapping into a :class:`~repro.plan.cache.PlanKey` is total: the spec
 builds an (un-setup) :class:`~repro.core.method.Method` via
 :func:`repro.api.make_method` and keys it with
-:meth:`~repro.plan.cache.PlanCache.key_for` — so every field of the plan
+:func:`~repro.plan.cache.key_for` — so every field of the plan
 key machinery (table signature, system digest, costs, transfers) is
 inherited rather than re-derived.  The ``cache-key`` lint pass checks this
 module's builders with the same discipline it applies to the plan cache:
@@ -146,14 +147,13 @@ def request_key(
     sample_size: int = 64,
     transfers: Optional[TransferSchedule] = None,
     imbalance: float = 0.0,
-    vec: bool = True,
     method: Optional[Method] = None,
 ) -> PlanKey:
     """The :class:`~repro.plan.cache.PlanKey` this request coalesces under.
 
     Every component of the plan identity — table signature (function,
     method, knobs, q-format), placement, system config, op costs, launch
-    geometry, transfer schedule, vec flag — is derived through the plan
+    geometry, transfer schedule — is derived through the plan
     cache's own ``key_for``, so request coalescing and plan caching can
     never disagree about equality.  ``method`` optionally reuses an
     already-resolved Method (the server memoizes one per spec).
@@ -162,4 +162,4 @@ def request_key(
         method = spec_method(spec)
     return _plan_key_for(
         system, method, tasklets=tasklets, sample_size=sample_size,
-        transfers=transfers, imbalance=imbalance, vec=vec)
+        transfers=transfers, imbalance=imbalance)

@@ -29,7 +29,7 @@ admission control
 scatter-back
     Each request's :class:`ServeResult` carries the slice of the batch's
     values corresponding to its own inputs — bit-identical to evaluating
-    the request alone, because the fused evaluator is elementwise.
+    the request alone, because ``evaluate_vec`` is elementwise.
 
 Dispatch runs inline on the event loop: the simulator is CPU-bound pure
 python/numpy and the tracer/metric registries are process-global, so a
@@ -78,8 +78,6 @@ class ServeConfig:
     hard_limit: int = 4096
     #: Shards per dispatched batch (>1 routes through execute_sharded).
     shards: int = 1
-    #: Compile plans with the fused array evaluator (bit-identical).
-    vec: bool = True
     #: Split sharded dispatches along the system topology's rank
     #: boundaries (no shard straddles a rank); only meaningful with
     #: ``shards > 1``.
@@ -172,7 +170,7 @@ class Server:
         if key is None:
             key = request_key(
                 spec, self.system, tasklets=self.session.tasklets,
-                sample_size=self.session.sample_size, vec=self.config.vec,
+                sample_size=self.session.sample_size,
                 method=self._method_for(spec))
             self._keys[spec] = key
         return key
@@ -198,8 +196,7 @@ class Server:
             return self.session.plans.plan(
                 self.system, self._method_for(spec),
                 tasklets=self.session.tasklets,
-                sample_size=self.session.sample_size,
-                vec=self.config.vec)
+                sample_size=self.session.sample_size)
 
         plan = await self._flights.run(lane.key, build)
         lane.plan = plan
@@ -316,9 +313,8 @@ class Server:
         offset = 0
         for p in batch:
             n = int(p.xs.size)
-            # Copy the slice: `values` may be a read-only view of the
-            # fused evaluator's memo, and a view would pin the whole
-            # batch array for the lifetime of one request's result.
+            # Copy the slice: a view would pin the whole batch array for
+            # the lifetime of one request's result.
             out = np.array(values[offset:offset + n], dtype=_F32)
             offset += n
             if not p.future.done():
@@ -343,15 +339,15 @@ class Server:
 
         Override point for tests (e.g. delaying completion to exercise
         out-of-order scatter-back); the default evaluates bit-exact values
-        through the plan's fused evaluator and books the launch timing
-        through the session (:meth:`~repro.plan.session.PlanSession
-        .execute_plan`), sharded when configured.
+        through the plan (:meth:`~repro.plan.plan.ExecutionPlan.values`) and
+        books the launch timing through the session
+        (:meth:`~repro.plan.session.PlanSession.execute_plan`), sharded when
+        configured.
         """
         plan = lane.plan
         values = plan.values(xs)
         result = self.session.execute_plan(
-            lane.label, plan, xs,
-            shards=self.config.shards, batch=True,
+            lane.label, plan, xs, shards=self.config.shards,
             rank_aligned=self.config.rank_aligned)
         return values, result
 

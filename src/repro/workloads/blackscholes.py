@@ -416,7 +416,6 @@ class Blackscholes:
         tasklets: int = 16,
         sample_size: int = 48,
         virtual_n: int = None,
-        use_batch: bool = True,
         shards: int = 1,
         overlap: bool = False,
     ) -> SystemRunResult:
@@ -433,7 +432,7 @@ class Blackscholes:
                 tasklets=tasklets, sample_size=sample_size,
                 bytes_in_per_element=BYTES_PER_OPTION,
                 bytes_out_per_element=4,
-                virtual_n=virtual_n, batch=use_batch,
+                virtual_n=virtual_n,
             )
         return system.run(
             self.kernel,
@@ -443,5 +442,4 @@ class Blackscholes:
             bytes_in_per_element=BYTES_PER_OPTION,
             bytes_out_per_element=4,
             virtual_n=virtual_n,
-            batch=use_batch,
         )

@@ -112,7 +112,6 @@ class Sigmoid:
         tasklets: int = 16,
         sample_size: int = 64,
         virtual_n: int = None,
-        use_batch: bool = True,
         shards: int = 1,
         overlap: bool = False,
     ) -> SystemRunResult:
@@ -127,7 +126,7 @@ class Sigmoid:
             return system.run_sharded(
                 self.kernel, x, shards=shards, overlap=overlap,
                 tasklets=tasklets, sample_size=sample_size,
-                virtual_n=virtual_n, batch=use_batch,
+                virtual_n=virtual_n,
             )
         return system.run(
             self.kernel,
@@ -137,5 +136,4 @@ class Sigmoid:
             bytes_in_per_element=4,
             bytes_out_per_element=4,
             virtual_n=virtual_n,
-            batch=use_batch,
         )

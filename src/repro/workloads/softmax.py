@@ -177,7 +177,6 @@ class Softmax:
         tasklets: int = 16,
         sample_size: int = 64,
         virtual_n: int = None,
-        use_batch: bool = True,
         shards: int = 1,
         overlap: bool = False,
     ) -> SoftmaxRunResult:
@@ -198,13 +197,13 @@ class Softmax:
                     tasklets=tasklets, sample_size=sample_size_,
                     bytes_in_per_element=4, bytes_out_per_element=bytes_out,
                     include_transfers=include_transfers,
-                    virtual_n=virtual_n, batch=use_batch,
+                    virtual_n=virtual_n,
                 )
             return system.run(
                 kernel, x, tasklets=tasklets, sample_size=sample_size_,
                 bytes_in_per_element=4, bytes_out_per_element=bytes_out,
                 include_transfers=include_transfers,
-                virtual_n=virtual_n, batch=use_batch,
+                virtual_n=virtual_n,
             )
 
         with _span("workload.softmax", variant=self.variant) as sp:

@@ -9,6 +9,7 @@ from repro.analysis.sweep import (
     default_inputs,
     sweep_method,
 )
+from repro.plan.cache import PlanCache
 
 
 class TestDefaultInputs:
@@ -65,6 +66,19 @@ class TestSweep:
         # density 2^18 over [0, 2pi) is ~1.6M entries: too big for WRAM.
         assert len(points) == 1
         assert points[0].table_bytes <= WRAM_TABLE_BUDGET
+
+    def test_shared_cache_scores_each_calls_own_inputs(self):
+        # Regression: the accuracy memo was keyed by name only, so a second
+        # call sharing the cache scored the first call's values (0.991).
+        cache = PlanCache()
+        sweep = dict(function="sin", method="llut", param_name="density_log2",
+                     param_values=(8,))
+        sweep_method(inputs=default_inputs("sin", n=4096), plan_cache=cache,
+                     **sweep)
+        half = default_inputs("sin", n=4096, seed=2) / np.float32(2)
+        shared = sweep_method(inputs=half, plan_cache=cache, **sweep)
+        fresh = sweep_method(inputs=half, **sweep)
+        assert shared[0].rmse == fresh[0].rmse < 1e-2
 
     def test_cordic_cycles_grow(self):
         inputs = default_inputs("sin", n=1024)

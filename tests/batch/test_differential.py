@@ -167,7 +167,7 @@ def test_scalar_fallback_for_unclassifiable_kernels():
 
     m = make_method("sin", "llut_i", density_log2=8).setup()
     xs = _inputs_for("sin", True, 64)
-    forced = batch_tally(m, xs, batch=False)
+    forced = scalar_tally(m, xs)
     auto = batch_tally(m, xs)
     assert not forced.batched and auto.batched
     assert forced.tally.slots == auto.tally.slots

@@ -7,20 +7,33 @@ for every classifiable method.  Values are compared at the *bit* level —
 NaN payloads and signed zeros included — because the fused kernels
 replicate the unfused expressions rather than approximating them.
 
+The evaluator must also abstain exactly where ``classify_paths`` does —
+the property that lets a launch fall straight back to the scalar loop —
+and an abstaining launch must equal the scalar oracle (a raw-kernel plan of
+``Method.evaluate``); every harness case also probes non-finites, signed
+zeros and out-of-range magnitudes for that.
+
 A fast subset mirrors ``test_differential.FAST_PAIRS`` in tier-1; the full
 ``METHOD_SUPPORT`` matrix is ``slow``-marked and runs in CI's differential
 step.
 """
 
+import functools
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.api import make_method
-from repro.batch import batch_tally, compile_vec, scalar_tally, vec_run
+from repro.batch import batch_tally, compile_vec
 from repro.core.functions.support import METHOD_SUPPORT
+from repro.core.method import Method
 from repro.errors import ConfigurationError
+from repro.obs.metrics import collecting
+from repro.pim.config import SystemConfig
+from repro.pim.dpu import DPU
+from repro.pim.system import PIMSystem
+from repro.plan.plan import compile_plan
 from tests.batch.test_differential import (
     FAST_PAIRS,
     FULL_MATRIX,
@@ -43,10 +56,42 @@ def _assert_bits_equal(a: np.ndarray, b: np.ndarray, msg: str) -> None:
     )
 
 
+#: Non-finites, signed zeros, and magnitudes past the CORDIC fx_mul bound
+#: (a Q3.28 raw word of at least 2**35: |x| >= 128 when range reduction is
+#: skipped).
+_ABSTAIN_PROBES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 128.0,
+                            -128.0, 1.0e6], dtype=_F32)
+
+
+def _assert_abstains_like_classifier(m, xs: np.ndarray) -> None:
+    """The evaluator abstains exactly where ``classify_paths`` does, and an
+    abstaining launch equals the scalar oracle (``xs`` fits one sample)."""
+    name = f"{m.method_name}/{m.spec.name}"
+    try:
+        fused = compile_vec(m).run(xs, tally_cache={})
+    except Exception as exc:
+        with pytest.raises(type(exc)):   # evaluate_vec's own limitation
+            m.evaluate_vec(xs)
+        return
+    assert (fused is None) == (m.classify_paths(xs) is None), name
+    if fused is None:
+        system = PIMSystem(SystemConfig(n_dpus=4))
+        a = compile_plan(system, m).execute(xs)
+        oracle = functools.partial(Method.evaluate, m)
+        b = compile_plan(system, oracle).execute(xs)
+        assert a.total_seconds == b.total_seconds, name
+        assert a.per_dpu.total_tally.slots == b.per_dpu.total_tally.slots
+        assert a.per_dpu.total_tally.counts == b.per_dpu.total_tally.counts
+        _assert_bits_equal(a.per_dpu.sample_outputs,
+                           b.per_dpu.sample_outputs, f"{name} outputs")
+
+
 def _assert_vec_identical(method_name: str, function: str,
                           assume_in_range: bool, n: int) -> None:
     m = _get_method(function, method_name, assume_in_range)
     xs = _inputs_for(function, assume_in_range, n)
+    _assert_abstains_like_classifier(
+        m, np.concatenate([xs[:32], _ABSTAIN_PROBES]))
 
     evaluator = compile_vec(m)
     try:
@@ -139,13 +184,16 @@ def test_memo_is_bounded_lru():
 
 
 def test_values_skips_aggregation():
+    """Plan values are evaluate_vec alone: no array pass, digest or path
+    keys reach the evaluator, and its aggregating run() gives equal bits."""
     m = _get_method("sin", "llut_i", True)
     xs = _inputs_for("sin", True, 64)
-    ev = compile_vec(m)
-    vals = ev.values(xs)
+    plan = compile_plan(PIMSystem(SystemConfig(n_dpus=4)), m)
+    vals = plan.values(xs)
     _assert_bits_equal(vals, m.evaluate_vec(xs), "values()")
-    # values() populated the memo; a later run() reuses the same triple.
-    assert ev.run(xs).values is ev.values(xs)
+    ev = plan.image.evaluator
+    assert len(ev._memo) == 0
+    _assert_bits_equal(ev.run(xs).values, vals, "run() values")
 
 
 def test_empty_batch_is_empty_result():
@@ -158,33 +206,34 @@ def test_empty_batch_is_empty_result():
 
 
 def test_abstain_falls_back_bit_identically():
-    """CORDIC abstains beyond the fx_mul overflow bound; vec_run degrades
-    to the traced engine (here: the scalar loop) without changing numbers."""
+    """CORDIC abstains beyond the fx_mul overflow bound; the launch degrades
+    to the scalar loop without changing numbers."""
     m = _get_method("sin", "cordic", True)
     xs = np.array([1.0e6, 0.5, -3.0], dtype=_F32)
     ev = compile_vec(m)
     assert ev.run(xs) is None
-    assert ev.values(xs) is None
-    values, batch = vec_run(m, xs, evaluator=ev)
-    ref = scalar_tally(m, xs)
-    assert not batch.batched
-    _assert_bits_equal(values, m.evaluate_vec(xs), "fallback values")
-    assert batch.tally.slots == ref.tally.slots
-    assert batch.tally.counts == ref.tally.counts
-    np.testing.assert_array_equal(batch.slots, ref.slots)
+    got = DPU().run_kernel(m.evaluate, xs, evaluator=ev)
+    ref = DPU().run_kernel(functools.partial(Method.evaluate, m), xs)
+    assert got.total_tally.slots == ref.total_tally.slots
+    assert got.total_tally.counts == ref.total_tally.counts
+    _assert_bits_equal(got.sample_outputs, ref.sample_outputs,
+                       "fallback outputs")
     # The abstain itself is memoized — no array passes on repeat calls.
     assert len(ev._memo) == 1
 
 
-def test_vec_run_uses_evaluator_when_classifiable():
+def test_run_kernel_uses_evaluator_when_classifiable():
     m = _get_method("sin", "llut_fx", True)
-    xs = _inputs_for("sin", True, 96)
-    values, batch = vec_run(m, xs)
-    _assert_bits_equal(values, m.evaluate_vec(xs), "vec_run values")
-    ref = batch_tally(m, xs)
-    assert batch.batched
-    assert batch.tally.slots == ref.tally.slots
-    assert batch.tally.counts == ref.tally.counts
+    xs = _inputs_for("sin", True, 48)
+    with collecting() as reg:
+        got = DPU().run_kernel(m.evaluate, xs)
+    assert reg.value("batch.vec.runs") == 1
+    assert reg.value("batch.vec.fallbacks") == 0
+    ref = DPU().run_kernel(functools.partial(Method.evaluate, m), xs)
+    assert got.cycles == ref.cycles
+    assert got.total_tally.counts == ref.total_tally.counts
+    _assert_bits_equal(got.sample_outputs, m.evaluate_vec(xs),
+                       "run_kernel outputs")
 
 
 def test_evaluator_pickles_without_memo():

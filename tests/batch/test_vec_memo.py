@@ -1,23 +1,28 @@
-"""Per-path tally memo: cache-cold launches of known paths skip re-tracing.
+"""Path-tally reuse across plans, and the fused D-LUT kernels.
 
-The per-placement memo in :class:`~repro.batch.vec.VecEvaluator` persists
-the placement-specific ``{path key -> Tally}`` mapping across plans: it
-pre-seeds a brand-new plan's cold ``tally_cache`` with paths already
-traced for that placement, and when no external cache is attached at all
-(cache-cold launch) it serves as the cache directly.  Correctness is
-anchored by the differential suite — these tests pin the *reuse*
-semantics: what gets prefilled, what gets harvested, what survives
-pickling, and that reuse changes no numbers.
+A path's tally depends on the method and its placement, never on the input
+values, so one trace serves every later launch of that path.  The one memo
+of that fact is the path-tally dict a :class:`~repro.plan.cache.PlanCache`
+keeps per (table image, placement): every plan it compiles for the pair —
+any tasklet count, any system — and their ``for_system`` clones share it,
+while ad-hoc plans own a fresh one and the evaluator keeps none.
+Correctness is anchored by the differential suites — these tests pin the
+*reuse* semantics: what a new plan finds, that reuse changes no numbers,
+what survives pickling, and that placements never mix.
 """
 
 import pickle
 
 import numpy as np
+import pytest
 
 from repro.api import make_method
 from repro.batch import batch_tally, compile_vec
-from repro.batch.vec import VecEvaluator
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs.metrics import collecting
+from repro.pim.config import SystemConfig
+from repro.pim.system import PIMSystem
+from repro.plan.cache import PlanCache
+from repro.plan.plan import compile_plan
 
 _F32 = np.float32
 
@@ -28,6 +33,17 @@ def _method(function="tanh", method="dlut", **kwargs):
 
 def _inputs(n, seed, lo=-6.0, hi=6.0):
     return np.random.default_rng(seed).uniform(lo, hi, n).astype(_F32)
+
+
+def _fields(r):
+    d = r.per_dpu
+    return (r.total_seconds, d.cycles, d.total_tally.slots,
+            d.total_tally.counts, d.sample_outputs.tobytes())
+
+
+@pytest.fixture
+def system():
+    return PIMSystem(SystemConfig(n_dpus=32))
 
 
 class TestFusedDLUTModes:
@@ -50,87 +66,75 @@ class TestFusedDLUTModes:
 
 
 class TestTallyMemo:
-    def test_cold_external_cache_is_prefilled_from_memo(self):
-        ev = compile_vec(_method())
-        xs = _inputs(128, seed=1)
-        warm_cache = {}
-        ev.run(xs, tally_cache=warm_cache)          # traces + harvests
-        assert ev._tally_memo["mram"]               # harvested paths
-        n_paths = len(ev._tally_memo["mram"])
-        assert len(warm_cache) == n_paths
+    def test_cold_external_cache_is_prefilled_from_memo(self, system):
+        # Two plans of one table image and placement (different tasklets)
+        # share one tally dict: the second starts with every path the
+        # first traced, and its first launch traces none.
+        cache = PlanCache()
+        xs = _inputs(400, seed=1)
+        a = cache.plan(system, _method(), tasklets=16)
+        b = cache.plan(system, _method(), tasklets=4)
+        assert a is not b and a.tally_cache is b.tally_cache
+        assert a.tally_cache is a.image.tallies["mram"]
+        a.execute(xs)
+        n_paths = len(b.tally_cache)
+        assert n_paths > 0 and b.executions == 0
+        with collecting() as reg:
+            b.execute(xs)
+        assert reg.value("batch.paths_traced") == 0
+        assert reg.value("batch.tally_cache.hits") > 0
+        assert len(b.tally_cache) == n_paths
+        # Retargeted clones share it too.
+        assert b.for_system(PIMSystem(SystemConfig(n_dpus=4))).tally_cache \
+            is b.tally_cache
 
-        cold_cache = {}                             # a brand-new plan
-        registry = MetricsRegistry()
-        with collecting(registry):
-            # Different values, same path population -> pure memo serve.
-            ev.run(_inputs(128, seed=2), tally_cache=cold_cache)
-        assert len(cold_cache) == n_paths
-        assert registry.value("batch.vec.tally_memo.hits") == n_paths
+    def test_memo_reuse_is_bit_identical_to_fresh_trace(self, system):
+        cache = PlanCache()
+        cache.plan(system, _method(), tasklets=16).execute(
+            _inputs(400, seed=10))                        # populate
+        xs = _inputs(400, seed=11)
+        reused = cache.plan(system, _method(), tasklets=4)
+        served = reused.execute(xs)                       # memo-assisted
+        fresh = compile_plan(system, _method(), tasklets=4)
+        assert fresh.tally_cache is not reused.tally_cache
+        assert not fresh.tally_cache                      # full re-trace
+        assert _fields(served) == _fields(fresh.execute(xs))
 
-    def test_cache_cold_launch_uses_memo_directly(self):
-        ev = compile_vec(_method())
-        first = ev.run(_inputs(96, seed=5))          # no cache attached
-        stored = len(ev._tally_memo["mram"])
-        assert stored > 0
-
-        registry = MetricsRegistry()
-        with collecting(registry):
-            second = ev.run(_inputs(96, seed=6))
-        assert registry.value("batch.vec.tally_memo.hits") == stored
-        # Reuse changes no numbers: per-path tallies are input-independent.
-        assert first.batch.tally.counts.keys() \
-            == second.batch.tally.counts.keys()
-
-    def test_harvest_counts_only_new_paths(self):
-        ev = compile_vec(_method("gelu", "dlut_i"))
-        registry = MetricsRegistry()
-        with collecting(registry):
-            ev.run(_inputs(200, seed=7), tally_cache={})
-        stores = registry.value("batch.vec.tally_memo.stores")
-        assert stores == len(ev._tally_memo["mram"])
-
-        registry = MetricsRegistry()
-        with collecting(registry):
-            ev.run(_inputs(200, seed=8), tally_cache={})
-        assert registry.value("batch.vec.tally_memo.stores", 0) == 0
-
-    def test_memo_is_per_placement(self):
-        mram = compile_vec(_method(placement="mram"))
-        wram = compile_vec(_method(placement="wram"))
+    def test_memo_is_per_placement(self, system):
+        cache = PlanCache()
         xs = _inputs(64, seed=9)
-        mram.run(xs, tally_cache={})
-        wram.run(xs, tally_cache={})
-        assert set(mram._tally_memo) == {"mram"}
-        assert set(wram._tally_memo) == {"wram"}
-        # Placement changes traced load costs; memoized tallies differ.
-        k = next(iter(mram._tally_memo["mram"]))
-        if k in wram._tally_memo["wram"]:
-            assert mram._tally_memo["mram"][k].counts \
-                != wram._tally_memo["wram"][k].counts
+        mram = cache.plan(system, _method(placement="mram"))
+        wram = cache.plan(system, _method(placement="wram"))
+        mram.execute(xs)
+        wram.execute(xs)
+        # One pooled image, one tally dict per placement.
+        assert mram.image is wram.image
+        assert set(mram.image.tallies) == {"mram", "wram"}
+        assert mram.tally_cache is not wram.tally_cache
+        # Placement changes traced load costs; a shared key differs.
+        k = next(iter(mram.tally_cache))
+        assert mram.tally_cache[k].counts != wram.tally_cache[k].counts
 
-    def test_memo_reuse_is_bit_identical_to_fresh_trace(self):
-        m = _method()
-        warm = compile_vec(m)
-        warm.run(_inputs(128, seed=10), tally_cache={})   # populate memo
-        xs = _inputs(128, seed=11)
-        served = warm.run(xs, tally_cache={})             # memo-assisted
-        fresh = compile_vec(m).run(xs, tally_cache={})    # full re-trace
-        assert served.batch.tally.counts == fresh.batch.tally.counts
-        assert served.batch.tally.slots == fresh.batch.tally.slots
-        np.testing.assert_array_equal(served.batch.slots, fresh.batch.slots)
-        assert served.values.tobytes() == fresh.values.tobytes()
-
-    def test_memo_cap_bounds_growth(self, monkeypatch):
+    def test_pickle_drops_the_tally_memo(self, system):
+        # The evaluator holds no tallies of its own: a pickled clone
+        # traces every path into the caller's dict, bit-identically.
         ev = compile_vec(_method())
-        monkeypatch.setattr(VecEvaluator, "TALLY_MEMO_CAP", 1)
-        ev.run(_inputs(256, seed=12), tally_cache={})
-        assert len(ev._tally_memo["mram"]) <= 1
-
-    def test_pickle_drops_the_tally_memo(self):
-        ev = compile_vec(_method())
-        ev.run(_inputs(64, seed=13), tally_cache={})
-        assert ev._tally_memo["mram"]
+        xs = _inputs(64, seed=13)
+        warm = {}
+        first = ev.run(xs, tally_cache=warm)
         clone = pickle.loads(pickle.dumps(ev))
-        assert clone._tally_memo == {}
-        # And the clone still works from scratch.
-        assert clone.run(_inputs(64, seed=13), tally_cache={}) is not None
+        assert len(clone._memo) == 0
+        cold = {}
+        with collecting() as reg:
+            again = clone.run(xs, tally_cache=cold)
+        assert reg.value("batch.paths_traced") == len(warm) > 0
+        assert cold.keys() == warm.keys()
+        assert again.batch.tally.counts == first.batch.tally.counts
+        assert again.values.tobytes() == first.values.tobytes()
+        # A shipped plan carries its tallies in its image instead.
+        plan = PlanCache().plan(system, _method())
+        plan.execute(xs)
+        shipped = pickle.loads(pickle.dumps(plan))
+        assert shipped.tally_cache is shipped.image.tallies["mram"]
+        assert shipped.tally_cache.keys() == plan.tally_cache.keys()
+        assert len(shipped.image.evaluator._memo) == 0

@@ -229,7 +229,7 @@ class TestShippedTree:
     def test_shipped_plan_cache_pair_is_sound(self):
         violations, stats = run_cache_key()
         assert violations == []
-        assert stats["key_fields"] == 10
+        assert stats["key_fields"] == 8
         assert stats["plan_attrs"] >= 12
         assert stats["execute_reads"] >= 10
         # The serving RequestSpec rides the same whole-program run.

@@ -77,7 +77,7 @@ class TestRunner:
         assert report.checked["kernels"] >= 80
         assert report.checked["methods"] >= 200
         # The whole-program passes ran and covered the plan/obs layers.
-        assert report.checked["key_fields"] == 10
+        assert report.checked["key_fields"] == 8
         assert report.checked["determinism_modules"] >= 12
         assert report.checked["parallel_targets"] >= 7
         assert report.checked["obs_modules"] >= 90

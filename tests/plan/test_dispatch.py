@@ -251,8 +251,8 @@ class _StubPlan:
     def for_system(self, sub):
         return self
 
-    def execute(self, xs, *, virtual_n=None, rng=None, batch=True,
-                imbalance=None, span_name="plan.execute"):
+    def simulate(self, xs, *, virtual_n=None, rng=None, imbalance=None,
+                 span_name="plan.execute"):
         return self._queued.pop(0)
 
 

@@ -1,9 +1,12 @@
 """Tests for ExecutionPlan compilation and execution."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.api import make_method
+from repro.core.method import Method
 from repro.errors import SimulationError
 from repro.obs.tracer import Tracer, tracing
 from repro.pim.config import SystemConfig
@@ -108,13 +111,16 @@ class TestExecute:
         assert plan.execute(xs + 1.0) is not first
         assert plan.execute(xs, imbalance=0.5) is not first
 
-    def test_batch_false_skips_tally_cache(self, system, method, rng):
+    def test_scalar_oracle_skips_tally_cache(self, system, method, rng):
+        # A raw-kernel wrapper of Method.evaluate is the scalar oracle: it
+        # traces every sampled element and caches no path tallies.
         xs = rng.uniform(-4, 4, 500).astype(_F32)
-        plan = compile_plan(system, method)
-        r = plan.execute(xs, batch=False)
-        assert len(plan.tally_cache) == 0
-        assert r.total_seconds == system.run(method.evaluate, xs,
-                                             batch=False).total_seconds
+        kernel = functools.partial(Method.evaluate, method.setup())
+        oracle = compile_plan(system, kernel)
+        r = oracle.execute(xs)
+        assert oracle.method is None and len(oracle.tally_cache) == 0
+        assert r.total_seconds == system.run(method.evaluate,
+                                             xs).total_seconds
 
     def test_per_launch_imbalance_override(self, system, method, rng):
         xs = rng.uniform(-4, 4, 1000).astype(_F32)

@@ -190,6 +190,23 @@ def test_pool_metrics_and_utilization_gauge(pool):
     assert 0.0 < util.last <= 1.0
 
 
+def test_shard_sub_launches_skip_the_launch_memo(pool):
+    plan = _plan_for("sin", "mlut_i")
+    xs = _inputs_for("sin", 601)
+    with collecting() as reg:
+        execute_sharded(plan, xs, n_shards=4)
+        execute_sharded(plan, xs, n_shards=4, pool=pool)
+    assert reg.value("plan.executions") == 8
+    assert not [n for n in reg.to_dict()["metrics"]
+                if n.startswith("plan.launch_memo.")]
+    top = plan.for_system(_SYSTEM)   # a clone starts with an empty memo
+    with collecting() as reg:        # top-level launches keep their memo
+        top.execute(xs)
+        top.execute(xs)
+    assert reg.value("plan.launch_memo.misses") == 1
+    assert reg.value("plan.launch_memo.hits") == 1
+
+
 def test_plan_ships_once_per_pool():
     plan = _plan_for("sin", "mlut_i")
     xs = _inputs_for("sin", 600)
@@ -246,7 +263,7 @@ class TestFaultInjection:
         before = active_segments()
         pool = ShardPool(2, start_method="fork")
         with pytest.raises(PoolError) as err:
-            execute_sharded(plan, xs, n_shards=4, batch=False, pool=pool)
+            execute_sharded(plan, xs, n_shards=4, pool=pool)
         assert err.value.shard_index == 2
         assert "injected shard fault" in str(err.value)
         assert "ValueError" in str(err.value)
@@ -258,7 +275,7 @@ class TestFaultInjection:
         xs = _inputs_with_fault(64, 2, shard_k=0, sentinel=_BOOM)
         before = active_segments()
         with pytest.raises(TransPimError):
-            execute_sharded(plan, xs, n_shards=2, batch=False, workers=2)
+            execute_sharded(plan, xs, n_shards=2, workers=2)
         assert active_segments() == before
 
     def test_worker_hang_times_out(self):
@@ -268,7 +285,7 @@ class TestFaultInjection:
         pool = ShardPool(2, start_method="fork")
         t0 = time.monotonic()
         with pytest.raises(PoolTimeoutError):
-            execute_sharded(plan, xs, n_shards=2, batch=False, pool=pool,
+            execute_sharded(plan, xs, n_shards=2, pool=pool,
                             timeout=1.5)
         assert time.monotonic() - t0 < 20.0  # well under the 30s sleep
         assert pool.closed
@@ -280,7 +297,7 @@ class TestFaultInjection:
         before = active_segments()
         pool = ShardPool(2, start_method="fork")
         with pytest.raises(PoolError):
-            execute_sharded(plan, xs, n_shards=2, batch=False, pool=pool)
+            execute_sharded(plan, xs, n_shards=2, pool=pool)
         assert pool.closed
         assert active_segments() == before
 
@@ -292,8 +309,7 @@ class TestFaultInjection:
         reg = MetricsRegistry()
         with tracing(tracer), collecting(reg):
             with pytest.raises(PoolError):
-                execute_sharded(plan, xs, n_shards=4, batch=False,
-                                workers=2)
+                execute_sharded(plan, xs, n_shards=4, workers=2)
         # No shard results were aggregated: the dispatch-level counters
         # and the reconciliation gauge never fired.
         assert reg.value("dispatch.runs") == 0
@@ -308,7 +324,7 @@ class TestFaultInjection:
         pool = ShardPool(2, start_method="fork")
         pool.close()
         with pytest.raises(PoolError):
-            execute_sharded(plan, xs, n_shards=2, batch=False, pool=pool)
+            execute_sharded(plan, xs, n_shards=2, pool=pool)
 
 
 def test_pool_rejects_bad_workers():

@@ -105,16 +105,17 @@ class TestDefaultTopologyIsInvisible:
             assert ra.batch_requests == rb.batch_requests
 
     def test_plan_keys_differ_only_in_topology_field(self):
-        """The two systems are distinct cache entries (different topology
-        signatures) even though execution is bit-identical."""
+        """The two systems are distinct cache entries (equal ``n_dpus``,
+        different topologies) even though execution is bit-identical."""
         from repro.plan.cache import key_for
 
         m = make_method("sin", "llut_i", assume_in_range=False)
         ka = key_for(_FLAT, m)
         kb = key_for(_TOPO, m)
         assert ka != kb
-        assert ka.topology == "1x1x1x2545"
-        assert kb.topology == PAPER_TOPOLOGY.signature()
+        assert ka.system.n_dpus == kb.system.n_dpus
+        assert ka.system.topology.signature() == "1x1x1x2545"
+        assert kb.system.topology == PAPER_TOPOLOGY
         assert ka.table_key == kb.table_key
         assert ka.placement == kb.placement
         assert ka.costs == kb.costs

@@ -1,17 +1,20 @@
 """Plan integration of the fused array evaluator (:mod:`repro.batch.vec`).
 
-The evaluator is an acceleration, never a semantic change: a vec-enabled
-plan must produce the same :class:`SystemRunResult` and the same ``values``
-as a vec-disabled one, the ``vec`` flag must split the plan cache (the
-routing is observable behavior: metrics, describe, fallback order), and the
-compiled evaluator must live in the pooled table image's ``memo`` so WRAM
-and MRAM plans of one geometry share it.
+The evaluator is an acceleration, never a semantic change: a plan must
+produce the same :class:`SystemRunResult` as the scalar oracle (a plan over
+a raw-kernel wrapper of ``Method.evaluate``, which traces every sampled
+element), ``values`` must equal ``evaluate_vec`` without touching the
+evaluator, and the compiled evaluator must live in the pooled table image
+so WRAM and MRAM plans of one geometry share it.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.api import make_method
+from repro.core.method import Method
 from repro.obs.metrics import collecting
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
@@ -25,6 +28,12 @@ def _method(method="llut_i", **kw):
     kw.setdefault("density_log2", 8)
     kw.setdefault("assume_in_range", False)
     return make_method("sin", method, **kw)
+
+
+def _oracle(system, method, **kw):
+    """The scalar oracle: a raw-kernel plan tracing every sampled element."""
+    kernel = functools.partial(Method.evaluate, method.setup())
+    return compile_plan(system, kernel, **kw)
 
 
 @pytest.fixture
@@ -49,32 +58,28 @@ def _result_fields(r):
 
 class TestExecuteEquivalence:
     def test_vec_and_traced_runs_identical(self, system, xs):
-        vec_plan = compile_plan(system, _method(), sample_size=64, vec=True)
-        raw_plan = compile_plan(system, _method(), sample_size=64, vec=False)
-        a = vec_plan.execute(xs)
-        b = raw_plan.execute(xs)
+        a = compile_plan(system, _method(), sample_size=64).execute(xs)
+        b = _oracle(system, _method(), sample_size=64).execute(xs)
         assert _result_fields(a) == _result_fields(b)
 
     def test_vec_and_traced_runs_identical_cordic(self, system, xs):
-        m = "cordic"
-        a = compile_plan(system, make_method("sin", m), vec=True).execute(xs)
-        b = compile_plan(system, make_method("sin", m), vec=False).execute(xs)
+        a = compile_plan(system, make_method("sin", "cordic")).execute(xs)
+        b = _oracle(system, make_method("sin", "cordic")).execute(xs)
         assert _result_fields(a) == _result_fields(b)
 
     def test_abstaining_method_still_executes(self, system):
         # Inputs past the CORDIC fx_mul overflow bound: the evaluator
-        # abstains and execute() silently uses the traced engine.
-        plan = compile_plan(system, make_method("sin", "cordic",
-                                                assume_in_range=True))
+        # abstains and execute() silently runs the scalar loop.
+        m = make_method("sin", "cordic", assume_in_range=True)
         huge = np.array([1.0e6] * 8 + [0.5] * 8, dtype=_F32)
-        a = plan.execute(huge)
-        b = compile_plan(system, make_method("sin", "cordic",
-                                             assume_in_range=True),
-                         vec=False).execute(huge)
+        with collecting() as reg:
+            a = compile_plan(system, m).execute(huge)
+        assert reg.value("batch.vec.fallbacks") == 1
+        b = _oracle(system, m).execute(huge)
         assert _result_fields(a) == _result_fields(b)
 
     def test_vec_runs_counted(self, system, xs):
-        plan = compile_plan(system, _method(), vec=True)
+        plan = compile_plan(system, _method())
         with collecting() as reg:
             plan.execute(xs)
         assert reg.counter("batch.vec.runs").value == 1
@@ -82,7 +87,7 @@ class TestExecuteEquivalence:
 
 class TestValues:
     def test_values_match_evaluate_vec(self, system, xs):
-        plan = compile_plan(system, _method(), vec=True)
+        plan = compile_plan(system, _method())
         got = plan.values(xs)
         ref = plan.method.evaluate_vec(xs)
         assert got.dtype == ref.dtype
@@ -90,66 +95,42 @@ class TestValues:
                                       ref.view(np.uint32))
 
     def test_values_preserve_shape(self, system, xs):
-        plan = compile_plan(system, _method(), vec=True)
+        plan = compile_plan(system, _method())
         grid = xs.reshape(32, 16)
         out = plan.values(grid)
         assert out.shape == grid.shape
         np.testing.assert_array_equal(out.ravel(), plan.values(xs))
 
-    def test_values_served_from_memo_on_repeat(self, system, xs):
-        plan = compile_plan(system, _method(), vec=True)
+    def test_no_vec_values_still_exact(self, system):
+        # values() is evaluate_vec alone: no digest, no path keys, and
+        # exact even where the evaluator would abstain.
+        plan = compile_plan(system, make_method("sin", "cordic",
+                                                assume_in_range=True))
+        huge = np.array([1.0e6, 0.5, -3.0], dtype=_F32)
         with collecting() as reg:
-            plan.values(xs)
-            plan.values(xs)
-        assert reg.counter("batch.vec.memo.hits").value >= 1
-        assert reg.counter("batch.vec.memo.misses").value == 1
-
-    def test_no_vec_values_still_exact(self, system, xs):
-        plan = compile_plan(system, _method(), vec=False)
-        np.testing.assert_array_equal(
-            plan.values(xs).view(np.uint32),
-            plan.method.evaluate_vec(xs).view(np.uint32))
-
-
-class TestCacheKeying:
-    def test_vec_flag_splits_cache(self, system):
-        cache = PlanCache()
-        a = cache.plan(system, _method(), vec=True)
-        b = cache.plan(system, _method(), vec=False)
-        assert a is not b
-        assert cache.misses == 2
-        assert a.vec_enabled and not b.vec_enabled
-
-    def test_same_vec_flag_hits(self, system):
-        cache = PlanCache()
-        a = cache.plan(system, _method(), vec=True)
-        b = cache.plan(system, _method(), vec=True)
-        assert a is b
-
-    def test_key_for_carries_vec(self, system):
-        cache = PlanCache()
-        k1 = cache.key_for(system, _method().setup(), vec=True)
-        k2 = cache.key_for(system, _method().setup(), vec=False)
-        assert k1 != k2
-        assert k1.vec and not k2.vec
+            got = plan.values(huge)
+        assert not [n for n in reg.to_dict()["metrics"]
+                    if n.startswith("batch.")]
+        ref = plan.method.evaluate_vec(huge)
+        np.testing.assert_array_equal(got.view(np.uint32),
+                                      ref.view(np.uint32))
 
 
 class TestEvaluatorSharing:
     def test_shared_across_placements(self, system, xs):
         # One table image, two placements: the evaluator rides the pooled
-        # memo, so the second placement pays no compile and reuses the
+        # image, so the second placement pays no compile and reuses the
         # memoized array passes for equal inputs.
         cache = PlanCache()
         wram = cache.plan(system, _method(placement="wram"))
         wram.execute(xs)
-        ev = wram.memo.get("vec_evaluator")
-        assert ev is not None
+        ev = wram.image.evaluator
         mram = cache.plan(system, _method(placement="mram"))
         assert cache.table_hits == 1
-        assert mram.memo is wram.memo
+        assert mram.image is wram.image
         with collecting() as reg:
             mram.execute(xs)
-        assert mram.memo.get("vec_evaluator") is ev
+        assert mram.image.evaluator is ev
         # Same digest -> memo hit, no second fused pass.
         assert reg.counter("batch.vec.memo.misses").value == 0
         assert reg.counter("batch.vec.memo.hits").value == 1
@@ -163,7 +144,7 @@ class TestEvaluatorSharing:
                 != mram.per_dpu.total_tally.slots)
 
     def test_describe_reports_vec(self, system):
-        on = compile_plan(system, _method(), vec=True).describe()
-        off = compile_plan(system, _method(), vec=False).describe()
-        assert "vec evaluator" in on and "enabled" in on
-        assert "vec evaluator" in off and "disabled" in off
+        plan = compile_plan(system, _method()).describe()
+        raw = _oracle(system, _method()).describe()
+        assert "vec evaluator" in plan and "llut_i" in plan
+        assert "vec evaluator" in raw and "none (raw kernel)" in raw

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.pim.system import PIMSystem
-from repro.plan.cache import PlanCache
+from repro.plan.cache import PlanCache, key_for
 from repro.serve.keys import (RequestSpec, normalize_request, request_key,
                               spec_method)
 
@@ -62,7 +62,7 @@ class TestRequestKey:
         spec = normalize_request("sin", "llut_i")
         method = spec_method(spec)
         served = request_key(spec, system, method=method)
-        cached = PlanCache().key_for(system, method)
+        cached = key_for(system, method)
         assert served == cached
 
     def test_key_hits_the_plan_cache(self, system):
@@ -95,11 +95,6 @@ class TestRequestKey:
         air = normalize_request("sin", "llut", assume_in_range=True)
         full = normalize_request("sin", "llut", assume_in_range=False)
         assert request_key(air, system) != request_key(full, system)
-
-    def test_vec_flag_splits_keys(self, system):
-        spec = normalize_request("sin", "llut")
-        assert request_key(spec, system, vec=True) != \
-            request_key(spec, system, vec=False)
 
     def test_spec_method_validates_support(self):
         spec = RequestSpec(function="sin", method="dlut")
