@@ -27,7 +27,6 @@ __all__ = [
     "fround_index_vec",
     "ffloor_index_vec",
     "f2fx_exact_vec",
-    "wrap32_vec",
     "raw_index_clip",
 ]
 
@@ -85,12 +84,6 @@ def f2fx_exact_vec(v: np.ndarray, frac_bits: int) -> np.ndarray:
     """
     scaled = np.asarray(v, dtype=_F32).astype(np.float64) * (1 << frac_bits)
     return np.where(np.isfinite(scaled), np.round(scaled), 0.0)
-
-
-def wrap32_vec(raw: np.ndarray) -> np.ndarray:
-    """Two's-complement wrap of int64 words at 32 bits (``QFormat.wrap``)."""
-    raw = np.asarray(raw, dtype=np.int64)
-    return ((raw + (1 << 31)) & ((1 << 32) - 1)) - (1 << 31)
 
 
 def raw_index_clip(a_f: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,8 +13,8 @@ structure-of-arrays pass per ``(method, params)`` at plan-compile time:
   own otherwise);
 * method families with heavy shared intermediates get *fused* core
   kernels — circular CORDIC computes the rotation values and the
-  direction count in a single recurrence
-  (:meth:`~repro.core.cordic.circular.CordicCircular._rotate_full_vec`),
+  direction count in one pass of the shared CORDIC array kernel
+  (:func:`repro.core.cordic.kernel.rotate`),
   the L-LUT variants share the magic-add/bit-view address generation
   between lookup and clamp-zone classification;
 * the ``(values, keys, unique)`` triple is memoized by input digest, so a
@@ -49,11 +49,11 @@ import numpy as np
 from repro.batch.engine import BatchResult, tally_from_keys
 from repro.batch.keys import (
     clamp_zone,
+    f2fx_exact_vec,
     ffloor_index_vec,
     fround_index_vec,
     pack_fields,
     raw_index_clip,
-    wrap32_vec,
 )
 from repro.core.cordic import circular as _cordic
 from repro.core.ldexp import ldexpf_vec
@@ -226,61 +226,18 @@ class VecEvaluator:
     def _core_cordic(self, u: np.ndarray):
         """Circular CORDIC: values and direction count in one recurrence.
 
-        Value side replicates ``_split_quadrant_vec`` + ``_rotate_vec``
-        exactly; key side replicates ``core_path_vec``.  They share the
-        scaled conversion, and — the expensive part — the z recurrence:
-        for every lane where the exact raw word and the wrapped key word
-        agree (all finite lanes below the 2^35 abstain bound, since the
-        32-bit wrap preserves bits 0..31 and quad/z only read bits 0..29),
-        the direction count from the fused rotation IS the key count.
-        Non-finite lanes (key word forced to 0, value word left to the
-        cast like the scalar trace) get their count patched from the
-        key-side z alone.
+        ``core_eval_vec`` and ``core_path_vec`` share everything up to the
+        rotation — the scalar-faithful f2fx word (non-finite -> 0), the
+        quadrant split and the z recurrence — so one kernel pass yields
+        the rotation values and the direction count the key records.
         """
         m = self.method
-        frac = _cordic._FRAC
-        two_over_pi = np.int64(_cordic._TWO_OVER_PI_RAW)
-        mask = np.int64(_cordic._FRAC_MASK)
-        u = np.asarray(u, dtype=_F32)
-        scaled = u.astype(np.float64) * (1 << frac)
-        finite = np.isfinite(scaled)
-        a_f = np.where(finite, np.round(scaled), 0.0)
+        a_f = f2fx_exact_vec(np.asarray(u, dtype=_F32), _cordic._FRAC)
         if bool(np.any(np.abs(a_f) >= 2.0 ** 35)):
             return None   # scalar fx_mul would overflow: abstain like core_path_vec
-        # Value side — _split_quadrant_vec expression for expression.
-        a_v = np.round(scaled).astype(np.int64)
-        q_v = (a_v * two_over_pi) >> np.int64(frac)
-        quad_v = (q_v >> np.int64(frac)) & np.int64(3)
-        z_v = q_v & mask
-        c, s, n = m._rotate_full_vec(z_v)
-        name = m.spec.name
-        if name == "sin":
-            choices = [s, c, (-s).astype(_F32), (-c).astype(_F32)]
-            yc = np.select([quad_v == 0, quad_v == 1,
-                            quad_v == 2, quad_v == 3], choices)
-        elif name == "cos":
-            choices = [c, (-s).astype(_F32), (-c).astype(_F32), s]
-            yc = np.select([quad_v == 0, quad_v == 1,
-                            quad_v == 2, quad_v == 3], choices)
-        else:  # tan
-            even = (s / c).astype(_F32)
-            odd = ((-c).astype(_F32) / s).astype(_F32)
-            yc = np.where(quad_v & 1 == 0, even, odd).astype(_F32)
-        # Key side — core_path_vec expression for expression.
-        a_k = a_f.astype(np.int64)
-        q_k = wrap32_vec((a_k * two_over_pi) >> np.int64(frac))
-        quad_k = (q_k >> np.int64(frac)) & np.int64(3)
-        z_k = q_k & mask
-        n_key = n
-        if not bool(np.all(finite)):
-            n_key = n.copy()
-            bad = ~finite
-            n_key[bad] = m._rotate_pos_vec(z_k[bad])
-        if name == "tan":
-            parity = (quad_k & 1).astype(np.int64)
-        else:
-            parity = np.zeros(u.shape, dtype=np.int64)
-        return yc, pack_fields([(parity, 1), (n_key, 16)])
+        quad, z = m._split_quadrant_vec(a_f)
+        c, s, n_pos = m._rotation_vec(z)
+        return m._quadrant_select_vec(quad, c, s), m._path_key_vec(quad, n_pos)
 
     def _core_llut(self, u: np.ndarray):
         """Non-interpolated float L-LUT: one address generation, shared."""

@@ -21,13 +21,13 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.cordic import kernel
 from repro.core.cordic.tables import (
     CIRCULAR_ANGLE_FRAC_BITS,
     circular_angle_table,
     circular_gain,
 )
 from repro.core.functions.registry import FunctionSpec
-from repro.core.ldexp import ldexpf_vec
 from repro.core.method import Method
 from repro.errors import ConfigurationError
 from repro.fixedpoint import Q3_28, fx_mul
@@ -122,114 +122,81 @@ class CordicCircular(Method):
     # ------------------------------------------------------------------
     # PIM side, vectorized twin
 
-    def _split_quadrant_vec(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        a = np.round(u.astype(np.float64) * (1 << _FRAC)).astype(np.int64)
-        q = (a * _TWO_OVER_PI_RAW) >> _FRAC
-        quad = (q >> _FRAC) & 3
-        z = q & _FRAC_MASK
-        return quad, z
+    @staticmethod
+    def _split_quadrant_vec(a_f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(quad, z) of the 2/pi multiply on exact f2fx words ``a_f``.
 
-    def _rotate_full_vec(
+        quad and z read only bits 28..57 of the product, which depend on
+        the word mod 2^58 alone: fmod keeps that residue exact for every
+        float32 word, and the int64 product wraps without touching those
+        bits (the scalar ``QFormat.wrap`` keeps bits 0..31 of the shift).
+        """
+        a = np.fmod(a_f, 2.0 ** 58).astype(np.int64)
+        q = (a * np.int64(_TWO_OVER_PI_RAW)) >> np.int64(_FRAC)
+        return (q >> np.int64(_FRAC)) & np.int64(3), q & np.int64(_FRAC_MASK)
+
+    def _rotation_vec(
         self, z: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One rotation pass returning (cos, sin, n_pos) together.
-
-        The array-compiled evaluator (:mod:`repro.batch.vec`) needs the
-        rotation values *and* the direction count in one recurrence: the
-        ``pos`` mask that steers the float vector is exactly the direction
-        bit the cost key counts, so fusing them halves the passes over the
-        z recurrence compared to ``_rotate_vec`` + ``_rotate_pos_vec``.
-        """
+        """(cos, sin, n_pos) of the rotation from Q0.28 angle words z."""
         x = np.full(z.shape, self._x0, dtype=_F32)
         y = np.zeros(z.shape, dtype=_F32)
-        n = np.zeros(z.shape, dtype=np.int64)
-        for i in range(self.iterations):
-            t = int(self._angles[i])
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos = z >= 0
-            n += pos
-            x_pos = (x - ys).astype(_F32)
-            x_neg = (x + ys).astype(_F32)
-            y_pos = (y + xs).astype(_F32)
-            y_neg = (y - xs).astype(_F32)
-            x = np.where(pos, x_pos, x_neg)
-            y = np.where(pos, y_pos, y_neg)
-            z = np.where(pos, z - t, z + t)
-        return x, y, n
+        return kernel.rotate(x, y, z, range(self.iterations), self._angles,
+                             hyperbolic=False)
 
-    def _rotate_vec(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # Same recurrence without the direction count (pure value path);
-        # kept separate so plain evaluate_vec pays no counting passes.
-        x = np.full(z.shape, self._x0, dtype=_F32)
-        y = np.zeros(z.shape, dtype=_F32)
-        for i in range(self.iterations):
-            t = int(self._angles[i])
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos = z >= 0
-            x_pos = (x - ys).astype(_F32)
-            x_neg = (x + ys).astype(_F32)
-            y_pos = (y + xs).astype(_F32)
-            y_neg = (y - xs).astype(_F32)
-            x = np.where(pos, x_pos, x_neg)
-            y = np.where(pos, y_pos, y_neg)
-            z = np.where(pos, z - t, z + t)
-        return x, y
-
-    def core_eval_vec(self, u):
-        u = np.asarray(u, dtype=_F32)
-        quad, z = self._split_quadrant_vec(u)
-        c, s = self._rotate_vec(z)
-        if self.spec.name == "sin":
-            choices = [s, c, (-s).astype(_F32), (-c).astype(_F32)]
-        elif self.spec.name == "cos":
-            choices = [c, (-s).astype(_F32), (-c).astype(_F32), s]
-        else:  # tan
-            even = (s / c).astype(_F32)
-            odd = ((-c).astype(_F32) / s).astype(_F32)
-            return np.where(quad & 1 == 0, even, odd).astype(_F32)
-        return np.select([quad == 0, quad == 1, quad == 2, quad == 3], choices)
-
-    def _rotate_pos_vec(self, z: np.ndarray) -> np.ndarray:
-        """Per-element count of positive rotation directions.
+    def _rotation_count_vec(self, z: np.ndarray) -> np.ndarray:
+        """Positive-direction count of ``_rotation_vec`` (z recurrence only).
 
         The two rotation arms charge the same number of slots but different
         op *names* (isub on the positive arm, iadd on the negative one), so
         the counts dict depends on the direction multiset — fully captured
-        by this count.  The z recurrence is pure integer and independent of
-        the float vector, so it vectorizes exactly.
+        by this count.
         """
-        n = np.zeros(z.shape, dtype=np.int64)
-        for i in range(self.iterations):
-            t = int(self._angles[i])
-            pos = z >= 0
-            n += pos
-            z = np.where(pos, z - t, z + t)
-        return n
+        return kernel.rotation_count(z, self._angles)
 
-    def core_path_vec(self, u):
-        # Replicate the scalar Q3.28 pipeline exactly: f2fx (non-finite ->
-        # 0), then the 2/pi fixed multiply.  int64 products wrap mod 2^64,
-        # which commutes with ">> 28 then wrap to 32 bits" (2^36 = 0 mod
-        # 2^32), so the wrapped quadrant/angle match the scalar exact-int
-        # ones whenever |raw| < 2^35 (above that we abstain: the scalar
-        # fx_mul itself overflows QFormat.wrap near 2^35.65).
-        from repro.batch.keys import f2fx_exact_vec, pack_fields, wrap32_vec
+    def _quadrant_select_vec(self, quad: np.ndarray, c: np.ndarray,
+                             s: np.ndarray) -> np.ndarray:
+        """The traced quadrant dispatch: pick c or s by the quadrant's
+        parity, then flip the sign bit (``fneg``) where the result is
+        negated; tan divides instead."""
+        name = self.spec.name
+        odd = (quad & 1).astype(bool)
+        if name == "tan":   # s/c, -c/s, s/c, -c/s
+            return np.where(odd, -c, s) / np.where(odd, s, c)
+        if name == "sin":   # s, c, -s, -c
+            y, negate = np.where(odd, c, s), quad & 2
+        else:               # cos: c, -s, -c, s
+            y, negate = np.where(odd, s, c), (quad + 1) & 2
+        return (y.view(np.uint32) ^ (negate << 30).astype(np.uint32)).view(_F32)
+
+    def core_eval_vec(self, u):
+        from repro.batch.keys import f2fx_exact_vec
 
         u = np.asarray(u, dtype=_F32)
-        a_f = f2fx_exact_vec(u, _FRAC)
-        if bool(np.any(np.abs(a_f) >= 2.0**35)):
-            return None
-        a = a_f.astype(np.int64)
-        q = wrap32_vec((a * np.int64(_TWO_OVER_PI_RAW)) >> np.int64(_FRAC))
-        quad = (q >> np.int64(_FRAC)) & np.int64(3)
-        z = q & np.int64(_FRAC_MASK)
-        n_pos = self._rotate_pos_vec(z)
+        quad, z = self._split_quadrant_vec(f2fx_exact_vec(u, _FRAC))
+        c, s, _ = self._rotation_vec(z)
+        return self._quadrant_select_vec(quad, c, s)
+
+    def _path_key_vec(self, quad: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+        """Core path key: tan's quadrant parity above the direction count."""
+        from repro.batch.keys import pack_fields
+
         if self.spec.name == "tan":
             # tan additionally pays one fneg in odd quadrants; sin/cos
             # evaluate every tuple item of the quadrant dispatch.
-            parity = (quad & 1).astype(np.int64)
+            parity = quad & np.int64(1)
         else:
-            parity = np.zeros(u.shape, dtype=np.int64)
+            parity = np.zeros(quad.shape, dtype=np.int64)
         return pack_fields([(parity, 1), (n_pos, 16)])
+
+    def core_path_vec(self, u):
+        # Replicate the scalar Q3.28 pipeline exactly: f2fx (non-finite ->
+        # 0), then the 2/pi fixed multiply.  At |raw| >= 2^35 we abstain:
+        # the scalar fx_mul itself overflows QFormat.wrap near 2^35.65.
+        from repro.batch.keys import f2fx_exact_vec
+
+        a_f = f2fx_exact_vec(np.asarray(u, dtype=_F32), _FRAC)
+        if bool(np.any(np.abs(a_f) >= 2.0**35)):
+            return None
+        quad, z = self._split_quadrant_vec(a_f)
+        return self._path_key_vec(quad, self._rotation_count_vec(z))

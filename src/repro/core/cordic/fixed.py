@@ -120,8 +120,10 @@ class CordicCircularFixed(CordicCircular):
         return x, y
 
     def core_eval_vec(self, u):
+        from repro.batch.keys import f2fx_exact_vec
+
         u = np.asarray(u, dtype=_F32)
-        quad, z = self._split_quadrant_vec(u)
+        quad, z = self._split_quadrant_vec(f2fx_exact_vec(u, _FRAC))
         c, s = self._rotate_raw_vec(z)
         if self.spec.name == "sin":
             raw = np.select([quad == 0, quad == 1, quad == 2, quad == 3],

@@ -23,6 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.cordic import kernel
 from repro.core.cordic.tables import (
     HYPERBOLIC_ANGLE_FRAC_BITS,
     hyperbolic_angle_table,
@@ -202,50 +203,47 @@ class CordicHyperbolic(Method):
     # ------------------------------------------------------------------
     # vectorized twins
 
-    def _rotate_vec(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _z_words_vec(w: np.ndarray) -> np.ndarray:
+        """Scalar-faithful ``f2fx(w, _FRAC)`` as int64 angle words.
+
+        Non-finite lanes give 0, like the traced f2fx.  Words are clipped
+        to +-2^53: the angle table sums to under 2^31, so a lane that large
+        steps in one direction throughout, clipped or not.
+        """
+        from repro.batch.keys import f2fx_exact_vec
+
+        a_f = f2fx_exact_vec(w, _FRAC)
+        return np.clip(a_f, -2.0**53, 2.0**53).astype(np.int64)
+
+    def _rotation_vec(
+        self, z: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cosh, sinh, n_pos) of the rotation from Q1.30 angle words z."""
         x = np.full(z.shape, self._inv_gain, dtype=_F32)
         y = np.zeros(z.shape, dtype=_F32)
-        for j, i in enumerate(self._schedule):
-            t = int(self._angles[j])
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos = z >= 0
-            x_pos = (x + ys).astype(_F32)
-            x_neg = (x - ys).astype(_F32)
-            y_pos = (y + xs).astype(_F32)
-            y_neg = (y - xs).astype(_F32)
-            x = np.where(pos, x_pos, x_neg)
-            y = np.where(pos, y_pos, y_neg)
-            z = np.where(pos, z - t, z + t)
-        return x, y
+        return kernel.rotate(x, y, z, self._schedule, self._angles,
+                             hyperbolic=True)
 
-    def _vectoring_vec(
+    def _rotation_count_vec(self, z: np.ndarray) -> np.ndarray:
+        """Positive-direction count of ``_rotation_vec`` (decides the
+        fadd/fsub and isub/iadd totals; both arms have equal slot cost)."""
+        return kernel.rotation_count(z, self._angles)
+
+    def _vectoring_pass_vec(
         self, x: np.ndarray, y: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        z = np.zeros(x.shape, dtype=np.int64)
-        for j, i in enumerate(self._schedule):
-            t = int(self._angles[j])
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos = y >= 0
-            x_pos = (x - ys).astype(_F32)
-            x_neg = (x + ys).astype(_F32)
-            y_pos = (y - xs).astype(_F32)
-            y_neg = (y + xs).astype(_F32)
-            x = np.where(pos, x_pos, x_neg)
-            y = np.where(pos, y_pos, y_neg)
-            z = np.where(pos, z + t, z - t)
-        return x, z
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(final x, angle word z, n_pos) of the vectoring from (x, y)."""
+        return kernel.vector(x, y, self._schedule, self._angles,
+                             hyperbolic=True)
 
     def _exp_core_vec(self, f: np.ndarray) -> np.ndarray:
-        z = np.round(f.astype(np.float64) * (1 << _FRAC)).astype(np.int64)
-        c, s = self._rotate_vec(z)
-        return (c + s).astype(_F32)
+        c, s, _ = self._rotation_vec(self._z_words_vec(f))
+        return c + s
 
     def _exp_full_vec(self, v: np.ndarray) -> np.ndarray:
         f, k = self._exp_reducer.reduce_vec(v)
-        ef = self._exp_core_vec(f)
-        return ldexpf_vec(ef, k)
+        return ldexpf_vec(self._exp_core_vec(f), k)
 
     def core_eval_vec(self, u):
         u = np.asarray(u, dtype=_F32)
@@ -254,88 +252,50 @@ class CordicHyperbolic(Method):
             return self._exp_core_vec(u)
 
         if name in ("log", "log2", "log10"):
-            x0 = (u + _F32(1.0)).astype(_F32)
-            y0 = (u - _F32(1.0)).astype(_F32)
-            _, z = self._vectoring_vec(x0, y0)
+            _, z, _ = self._vectoring_pass_vec(u + _F32(1.0), u - _F32(1.0))
             ln = ((z << 1) / float(1 << _FRAC)).astype(_F32)
             if self._log_scale is None:
                 return ln
-            return (ln * self._log_scale).astype(_F32)
+            return ln * self._log_scale
 
         if name == "sqrt":
-            x0 = (u + _F32(0.25)).astype(_F32)
-            y0 = (u - _F32(0.25)).astype(_F32)
-            x, _ = self._vectoring_vec(x0, y0)
-            return (x * self._inv_gain).astype(_F32)
+            x, _, _ = self._vectoring_pass_vec(u + _F32(0.25), u - _F32(0.25))
+            return x * self._inv_gain
 
-        small = u <= _F32(ROTATION_BOUND)
+        # sinh/cosh/tanh: the traced fcmp(u, B) <= 0 sends NaN down the
+        # rotation path — hence ~(u > B), not (u <= B).
+        small = ~(u > _F32(ROTATION_BOUND))
         out = np.empty(u.shape, dtype=_F32)
-
         if np.any(small):
-            us = u[small]
-            z = np.round(us.astype(np.float64) * (1 << _FRAC)).astype(np.int64)
-            c, s = self._rotate_vec(z)
+            c, s, _ = self._rotation_vec(self._z_words_vec(u[small]))
             if name == "sinh":
                 out[small] = s
             elif name == "cosh":
                 out[small] = c
             else:
-                out[small] = (s / c).astype(_F32)
+                out[small] = s / c
 
         big = ~small
         if np.any(big):
             ub = u[big]
             if name == "tanh":
                 e2u = self._exp_full_vec(ldexpf_vec(ub, 1))
-                den = (e2u + _F32(1.0)).astype(_F32)
-                frac = (_F32(2.0) / den).astype(_F32)
-                out[big] = (_F32(1.0) - frac).astype(_F32)
+                out[big] = _F32(1.0) - _F32(2.0) / (e2u + _F32(1.0))
             else:
                 eu = self._exp_full_vec(ub)
-                einv = (_F32(1.0) / eu).astype(_F32)
+                einv = _F32(1.0) / eu
                 d = (eu - einv) if name == "sinh" else (eu + einv)
-                out[big] = ldexpf_vec(d.astype(_F32), -1)
+                out[big] = ldexpf_vec(d, -1)
         return out
 
-    def _rotate_pos_vec(self, z: np.ndarray) -> np.ndarray:
-        """Count of positive rotation directions (decides fadd/fsub and
-        isub/iadd totals; both arms have equal slot cost)."""
-        n = np.zeros(z.shape, dtype=np.int64)
-        for j, _ in enumerate(self._schedule):
-            t = int(self._angles[j])
-            pos = z >= 0
-            n += pos
-            z = np.where(pos, z - t, z + t)
-        return n
-
-    def _vectoring_pos_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Count of positive vectoring directions.
-
-        Vectoring decides on the float y component, so the full float32
-        (x, y) recurrence is replicated bit for bit.  The scalar test is the
-        three-way ``fcmp(y, 0) >= 0`` which sends NaN down the positive arm
-        — hence ``~(y < 0)``, not ``y >= 0``.
-        """
-        n = np.zeros(x.shape, dtype=np.int64)
-        for j, i in enumerate(self._schedule):
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos = ~(y < 0)
-            n += pos
-            x = np.where(pos, (x - ys).astype(_F32), (x + ys).astype(_F32))
-            y = np.where(pos, (y - xs).astype(_F32), (y + xs).astype(_F32))
-        return n
-
-    @staticmethod
-    def _z_raw_vec(w: np.ndarray):
-        """Scalar-faithful ``f2fx(w, _FRAC)`` over an array, or None when a
-        raw word exceeds exact float64 integer range."""
-        from repro.batch.keys import f2fx_exact_vec
-
-        a_f = f2fx_exact_vec(w, _FRAC)
-        if bool(np.any(np.abs(a_f) >= 2.0**52)):
+    def _z_raw_vec(self, w: np.ndarray):
+        """``_z_words_vec`` for the classifiers, or None when a word reaches
+        2^52: the clip keeps a word's direction, not the low bits a
+        hybrid's residual angle reads."""
+        z = self._z_words_vec(w)
+        if bool(np.any(np.abs(z) >= 2**52)):
             return None
-        return a_f.astype(np.int64)
+        return z
 
     def core_path_vec(self, u):
         from repro.batch.keys import pack_fields
@@ -346,21 +306,18 @@ class CordicHyperbolic(Method):
             z = self._z_raw_vec(u)
             if z is None:
                 return None
-            return self._rotate_pos_vec(z)
+            return self._rotation_count_vec(z)
 
+        # Vectoring decides on the float y component, so the classifier
+        # runs the full float recurrence.
         if name in ("log", "log2", "log10"):
-            x0 = (u + _F32(1.0)).astype(_F32)
-            y0 = (u - _F32(1.0)).astype(_F32)
-            return self._vectoring_pos_vec(x0, y0)
+            return self._vectoring_pass_vec(u + _F32(1.0), u - _F32(1.0))[2]
 
         if name == "sqrt":
-            x0 = (u + _F32(0.25)).astype(_F32)
-            y0 = (u - _F32(0.25)).astype(_F32)
-            return self._vectoring_pos_vec(x0, y0)
+            return self._vectoring_pass_vec(u + _F32(0.25), u - _F32(0.25))[2]
 
         # sinh/cosh/tanh: one branch picks rotation vs the exp-identity
-        # fallback.  The scalar test is the three-way fcmp(u, B) <= 0, which
-        # sends NaN down the rotation path — hence ~(u > B), not (u <= B).
+        # fallback, with the same NaN-to-rotation test as core_eval_vec.
         small = ~(u > _F32(ROTATION_BOUND))
         z_small = self._z_raw_vec(np.where(small, u, _F32(0.0)).astype(_F32))
         if z_small is None:
@@ -370,9 +327,7 @@ class CordicHyperbolic(Method):
         z_big = self._z_raw_vec(f)
         if z_big is None:
             return None
-        n_pos = np.where(
-            small, self._rotate_pos_vec(z_small), self._rotate_pos_vec(z_big)
-        )
+        n_pos = self._rotation_count_vec(np.where(small, z_small, z_big))
         below_bit = (below & ~small).astype(np.int64)
         return pack_fields(
             [(small.astype(np.int64), 1), (below_bit, 1), (n_pos, 16)]

@@ -10,15 +10,16 @@ hence no float divide — is ever needed.  Only odd symmetry is applied.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
+from repro.core.cordic import kernel
 from repro.core.cordic.tables import (
     CIRCULAR_ANGLE_FRAC_BITS,
     circular_angle_table,
 )
 from repro.core.functions.registry import FunctionSpec
-from repro.core.ldexp import ldexpf_vec
 from repro.core.method import Method
 from repro.core.range_reduction import OddSymmetricReducer
 from repro.errors import ConfigurationError
@@ -91,39 +92,22 @@ class CordicArctan(Method):
         rad = fx_mul(ctx, Q3_28, z, _HALF_PI_RAW)
         return ctx.fx2f(rad, _FRAC)
 
+    def _vectoring_pass_vec(
+        self, y: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(final x, angle word z, n_pos) of the vectoring from (1, y)."""
+        return kernel.vector(np.ones(y.shape, dtype=_F32), y,
+                             range(self.iterations), self._angles,
+                             hyperbolic=False)
+
     def core_eval_vec(self, u):
-        y = np.asarray(u, dtype=_F32)
-        x = np.ones(y.shape, dtype=_F32)
-        z = np.zeros(y.shape, dtype=np.int64)
-        for i in range(self.iterations):
-            t = int(self._angles[i])
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos = y >= 0
-            x_pos = (x + ys).astype(_F32)
-            x_neg = (x - ys).astype(_F32)
-            y_pos = (y - xs).astype(_F32)
-            y_neg = (y + xs).astype(_F32)
-            x = np.where(pos, x_pos, x_neg)
-            y = np.where(pos, y_pos, y_neg)
-            z = np.where(pos, z + t, z - t)
+        _, z, _ = self._vectoring_pass_vec(np.asarray(u, dtype=_F32))
         rad = (z * _HALF_PI_RAW) >> _FRAC
         return (rad / float(1 << _FRAC)).astype(_F32)
 
     def core_path_vec(self, u):
         # Both arms have equal slot cost, but charge iadd vs isub — the op
         # counts depend on the direction multiset.  Directions are decided
-        # on the float y component, so replicate the float32 recurrence bit
-        # for bit.  Scalar test is the three-way fcmp(y, 0) >= 0, which
-        # sends NaN down the positive arm — hence ~(y < 0).
-        y = np.asarray(u, dtype=_F32)
-        x = np.ones(y.shape, dtype=_F32)
-        n = np.zeros(y.shape, dtype=np.int64)
-        for i in range(self.iterations):
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos = ~(y < 0)
-            n += pos
-            x = np.where(pos, (x + ys).astype(_F32), (x - ys).astype(_F32))
-            y = np.where(pos, (y - xs).astype(_F32), (y + xs).astype(_F32))
-        return n
+        # on the float y component, so the classifier runs the float32
+        # recurrence too.
+        return self._vectoring_pass_vec(np.asarray(u, dtype=_F32))[2]

@@ -20,6 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.cordic import kernel
 from repro.core.cordic.circular import CordicCircular
 from repro.core.cordic.hyperbolic import ROTATION_BOUND, CordicHyperbolic
 from repro.core.cordic.tables import (
@@ -32,13 +33,20 @@ from repro.core.cordic.tables import (
     hyperbolic_schedule,
 )
 from repro.core.functions.registry import FunctionSpec
-from repro.core.ldexp import ldexpf_vec
 from repro.errors import ConfigurationError
 from repro.isa.counter import CycleCounter
 
 __all__ = ["HybridCircular", "HybridHyperbolic"]
 
 _F32 = np.float32
+
+
+def _table_split_vec(z: np.ndarray, frac_bits: int,
+                     lut_bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(table index, residual angle words): the table resolves the top
+    ``lut_bits`` of the angle, CORDIC the masked residual."""
+    shift = frac_bits - lut_bits
+    return z >> shift, z & ((1 << shift) - 1)
 
 
 class HybridCircular(CordicCircular):
@@ -96,36 +104,19 @@ class HybridCircular(CordicCircular):
                 z = ctx.iadd(z, t)
         return x, y
 
-    def _rotate_vec(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        frac = CIRCULAR_ANGLE_FRAC_BITS
+    def _rotation_vec(
+        self, z: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         j = self.lut_bits
-        idx = z >> (frac - j)
-        z = z & ((1 << (frac - j)) - 1)
-        x = self._xtab[idx]
-        y = self._ytab[idx]
-        for i in range(j, self.iterations):
-            t = int(self._angles[i])
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos = z >= 0
-            x = np.where(pos, (x - ys).astype(_F32), (x + ys).astype(_F32))
-            y = np.where(pos, (y + xs).astype(_F32), (y - xs).astype(_F32))
-            z = np.where(pos, z - t, z + t)
-        return x, y
+        idx, z = _table_split_vec(z, CIRCULAR_ANGLE_FRAC_BITS, j)
+        return kernel.rotate(self._xtab[idx], self._ytab[idx], z,
+                             range(j, self.iterations), self._angles[j:],
+                             hyperbolic=False)
 
-    def _rotate_pos_vec(self, z: np.ndarray) -> np.ndarray:
-        # The table resolves the top lut_bits of the angle; directions are
-        # decided on the masked residual over the remaining iterations.
-        frac = CIRCULAR_ANGLE_FRAC_BITS
+    def _rotation_count_vec(self, z: np.ndarray) -> np.ndarray:
         j = self.lut_bits
-        z = z & ((1 << (frac - j)) - 1)
-        n = np.zeros(z.shape, dtype=np.int64)
-        for i in range(j, self.iterations):
-            t = int(self._angles[i])
-            pos = z >= 0
-            n += pos
-            z = np.where(pos, z - t, z + t)
-        return n
+        _, z = _table_split_vec(z, CIRCULAR_ANGLE_FRAC_BITS, j)
+        return kernel.rotation_count(z, self._angles[j:])
 
 
 class HybridHyperbolic(CordicHyperbolic):
@@ -198,33 +189,14 @@ class HybridHyperbolic(CordicHyperbolic):
                 z = ctx.iadd(z, t)
         return x, y
 
-    def _rotate_vec(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        frac = HYPERBOLIC_ANGLE_FRAC_BITS
-        j = self.lut_bits
-        idx = z >> (frac - j)
-        z = z & ((1 << (frac - j)) - 1)
-        x = self._xtab[idx]
-        y = self._ytab[idx]
-        for pos, i in enumerate(self._schedule):
-            t = int(self._angles[pos])
-            xs = ldexpf_vec(x, -i)
-            ys = ldexpf_vec(y, -i)
-            pos_mask = z >= 0
-            x = np.where(pos_mask, (x + ys).astype(_F32), (x - ys).astype(_F32))
-            y = np.where(pos_mask, (y + xs).astype(_F32), (y - xs).astype(_F32))
-            z = np.where(pos_mask, z - t, z + t)
-        return x, y
+    def _rotation_vec(
+        self, z: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The schedule was already trimmed by ``_skip`` in _build.
+        idx, z = _table_split_vec(z, HYPERBOLIC_ANGLE_FRAC_BITS, self.lut_bits)
+        return kernel.rotate(self._xtab[idx], self._ytab[idx], z,
+                             self._schedule, self._angles, hyperbolic=True)
 
-    def _rotate_pos_vec(self, z: np.ndarray) -> np.ndarray:
-        # Mask off the table-resolved top bits, then count directions over
-        # the trimmed schedule (already shortened by ``_skip`` in _build).
-        frac = HYPERBOLIC_ANGLE_FRAC_BITS
-        j = self.lut_bits
-        z = z & ((1 << (frac - j)) - 1)
-        n = np.zeros(z.shape, dtype=np.int64)
-        for pos, _ in enumerate(self._schedule):
-            t = int(self._angles[pos])
-            is_pos = z >= 0
-            n += is_pos
-            z = np.where(is_pos, z - t, z + t)
-        return n
+    def _rotation_count_vec(self, z: np.ndarray) -> np.ndarray:
+        _, z = _table_split_vec(z, HYPERBOLIC_ANGLE_FRAC_BITS, self.lut_bits)
+        return kernel.rotation_count(z, self._angles)

@@ -193,34 +193,35 @@ class ExpSplitReducer(Reducer):
         return ctx.ldexp(y, int(state))
 
     def reduce_vec(self, x):
-        x = np.asarray(x, dtype=_F32)
-        q = (x * self._INV_LN2).astype(_F32)
-        k = np.floor(q).astype(np.int32)
-        whole = (k.astype(_F32) * self._LN2_F).astype(_F32)
-        f = (x - whole).astype(_F32)
-        below = f < 0
-        f = np.where(below, (f + self._LN2_F).astype(_F32), f)
-        k = np.where(below, k - 1, k)
-        return f.astype(_F32), k
+        kf, f, below = self._split_vec(x)
+        # ldexp by |k| >= 1024 already saturates every float32 (to inf or
+        # a signed zero), so clipping keeps huge and non-finite lanes exact
+        # through the int32 cast.
+        k = np.clip(kf - below, -1024, 1024).astype(np.int32)
+        return f, k
 
     def reconstruct_vec(self, y, state):
         return ldexpf_vec(np.asarray(y, dtype=_F32), state)
 
     def residual_vec(self, x):
-        """Scalar-faithful ``(f, below)`` of :meth:`reduce` over an array.
+        """Scalar-faithful ``(f, below)`` of :meth:`reduce` over an array."""
+        _, f, below = self._split_vec(x)
+        return f, below
 
-        Unlike :meth:`reduce_vec`, the float64 floor is guarded the way the
-        traced ``ffloor`` is (non-finite -> 0) so the residual matches the
-        scalar trace bit for bit on every input, including inf/NaN.
+    def _split_vec(self, x):
+        """``(floor, f, below)`` of :meth:`reduce`, bit for bit on every
+        input: the float64 floor is guarded the way the traced ``ffloor``
+        is (non-finite -> 0), and ``+ 0.0`` turns ``floor(-0.0)`` into the
+        int 0 ``ffloor`` returns, so ``f`` keeps the sign of a zero input.
         """
         x = np.asarray(x, dtype=_F32)
         q64 = (x * self._INV_LN2).astype(_F32).astype(np.float64)
-        kf = np.where(np.isfinite(q64), np.floor(q64), 0.0)
+        kf = np.where(np.isfinite(q64), np.floor(q64), 0.0) + 0.0
         whole = (kf.astype(_F32) * self._LN2_F).astype(_F32)
         f = (x - whole).astype(_F32)
         below = f < 0
         f = np.where(below, (f + self._LN2_F).astype(_F32), f).astype(_F32)
-        return f, below
+        return kf, f, below
 
     def path_key_vec(self, x):
         _, below = self.residual_vec(x)

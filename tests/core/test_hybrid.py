@@ -14,6 +14,12 @@ from repro.isa.counter import CycleCounter
 _F32 = np.float32
 
 
+#: NaN (quiet, both signs, with a payload), +-inf and +-0.0 as raw bits.
+_SPECIALS = np.array([0x7FC00000, 0xFFC00000, 0x7FC00123, 0x7F800000,
+                      0xFF800000, 0x00000000, 0x80000000],
+                     dtype=np.uint32).view(_F32)
+
+
 def _hybrid(function="sin", iterations=24, lut_bits=6, **kw):
     kw.setdefault("assume_in_range", True)
     return make_method(function, "cordic_lut", iterations=iterations,
@@ -109,3 +115,19 @@ class TestScalarVectorAgreement:
         ctx = CycleCounter()
         scalar = np.array([m.evaluate(ctx, float(x)) for x in xs], dtype=_F32)
         np.testing.assert_array_equal(scalar, m.evaluate_vec(xs))
+
+    @pytest.mark.parametrize("in_range", [True, False],
+                             ids=["natural", "full_domain"])
+    @pytest.mark.parametrize("function", ["sin", "cos", "tan", "exp",
+                                          "sinh", "cosh", "tanh"])
+    def test_non_finite_lanes_bit_exact(self, function, in_range):
+        """NaN, +-inf and +-0.0 lanes take the traced branches: equal bit
+        patterns, NaN payloads and zero signs included."""
+        spec = get_function(function)
+        lo, hi = spec.natural_range if in_range else spec.bench_domain
+        xs = np.concatenate([np.linspace(lo, hi, 16, dtype=_F32), _SPECIALS])
+        m = _hybrid(function, 20, lut_bits=5, assume_in_range=in_range)
+        ctx = CycleCounter()
+        scalar = np.array([m.evaluate(ctx, x) for x in xs], dtype=_F32)
+        np.testing.assert_array_equal(scalar.view(np.uint32),
+                                      m.evaluate_vec(xs).view(np.uint32))

@@ -130,3 +130,46 @@ class TestVectorizedTwins:
         for i in range(0, 512, 17):
             m, e = frexpf(xs[i])
             assert ms[i] == m and es[i] == e
+
+
+#: float32 bit patterns weighted toward the corners: zero/subnormal and
+#: inf/NaN exponent fields, and mantissas that make signalling NaNs,
+#: quiet NaNs and the smallest/largest subnormals.
+_F32_BITS = st.builds(
+    lambda sign, exp, mant: (sign << 31) | (exp << 23) | mant,
+    st.integers(0, 1),
+    st.one_of(st.sampled_from([0, 1, 0xFF]), st.integers(0, 0xFF)),
+    st.one_of(st.sampled_from([0, 1, 1 << 22, (1 << 23) - 1]),
+              st.integers(0, (1 << 23) - 1)),
+)
+
+
+def _bits(x) -> int:
+    return int(np.asarray(x, dtype=np.float32).reshape(-1).view(np.uint32)[0])
+
+
+class TestPowerOfTwoStep:
+    """The exactness step the CORDIC array kernel rests on
+    (:mod:`repro.core.cordic.kernel`): an array update with the float32
+    step ``d * 2^-i`` equals the two-armed update it replaces, which scales
+    with ``ldexpf`` and then adds or subtracts, bit for bit — subnormal
+    rounding, signed zeros and NaN payloads included.
+
+    Both sides are array operations with the same operand order.  (numpy's
+    *scalar* float32 add may return the second operand's payload when both
+    operands are NaN; the kernel never meets that case, because a lane's x
+    and y turn NaN together from one source and carry one payload.)
+    """
+
+    @given(_F32_BITS, _F32_BITS, st.integers(0, 64), st.sampled_from([1, -1]))
+    def test_step_update_matches_ldexpf_arm(self, a_bits, b_bits, i, d):
+        a = np.array([a_bits], dtype=np.uint32).view(np.float32)
+        b = np.array([b_bits], dtype=np.uint32).view(np.float32)
+        step = np.float32(d * 2.0 ** -i)
+        scaled = np.array([ldexpf(b[0], -i)], dtype=np.float32)
+        # x - y*s: the positive arm subtracts, the negative one adds.
+        arm_sub = a - scaled if d == 1 else a + scaled
+        assert _bits(a - b * step) == _bits(arm_sub)
+        # x + y*s: the positive arm adds, the negative one subtracts.
+        arm_add = a + scaled if d == 1 else a - scaled
+        assert _bits(a + b * step) == _bits(arm_add)

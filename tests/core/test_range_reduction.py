@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.api import make_method
 from repro.core.functions.registry import FUNCTIONS, get_function
+from repro.core.functions.support import supported_methods
 from repro.core.range_reduction import (
     ExpSplitReducer,
     IdentityReducer,
@@ -88,6 +90,28 @@ class TestExpSplit:
         f, k, _ = _trace(r, x)
         fv, kv = r.reduce_vec(np.array([x], dtype=_F32))
         assert fv[0] == f and kv[0] == k
+
+
+#: Inputs whose exp split floors past int32 (|x| >~ 1.49e9), saturates,
+#: or is non-finite, plus the signed zeros.
+_EXP_EXTREMES = np.array([1.5e9, -1.5e9, 3e9, -3e9, 1e30, -1e30, 88.7, 89.0,
+                          -103.9, -104.0, 0.0, -0.0, np.inf, -np.inf, np.nan],
+                         dtype=_F32)
+
+
+@pytest.mark.parametrize("method", sorted(supported_methods("exp")))
+def test_exp_array_path_matches_scalar_on_extremes(method):
+    """Every exp method's array path equals the traced oracle bit for bit
+    with range extension on: huge, saturating and non-finite inputs come
+    back as the scalar split gives them, not wrapped through int32."""
+    m = make_method("exp", method, assume_in_range=False).setup()
+    rng = np.random.default_rng(15)
+    xs = np.concatenate([_EXP_EXTREMES,
+                         rng.uniform(-120.0, 120.0, 48).astype(_F32)])
+    ctx = CycleCounter()
+    scalar = np.array([m.evaluate(ctx, x) for x in xs], dtype=_F32)
+    np.testing.assert_array_equal(scalar.view(np.uint32),
+                                  m.evaluate_vec(xs).view(np.uint32))
 
 
 class TestLogSplit:
