@@ -47,7 +47,7 @@ def _collect():
         return reducer.reconstruct(ctx, horner(ctx, coeffs, f), k)
 
     def minimax_exp_vec(v):
-        f, k = reducer.reduce_vec(np.asarray(v, dtype=_F32))
+        f, k, _ = reducer.reduce_vec(np.asarray(v, dtype=_F32))
         return reducer.reconstruct_vec(horner_vec(coeffs, f), k)
 
     rows = []

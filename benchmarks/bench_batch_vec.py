@@ -1,19 +1,20 @@
-"""Fused array evaluator throughput vs the traced batch engine.
+"""Launch evaluator throughput vs the traced batch engine.
 
 The point of :mod:`repro.batch.vec` is that a sweep-style workload — the
 same large input array launched repeatedly (accuracy sweep + WRAM timing +
 MRAM timing of one table image, or repeated figure regeneration) — stops
-paying per-launch classification, value evaluation, and path tracing: the
-fused pass computes values and path keys together once, and the digest
-memo serves every later launch of the same array from cache.
+paying per-launch classification, value evaluation, and path tracing: one
+keyed array pass (``Method.array_pass``) computes values and path keys
+together once, and the digest memo serves every later launch of the same
+array from cache.
 
 This bench pins that with two wall-clock floors on a large-n sweep:
 
 * **steady state** (memo-warm, the sweep regime): >= 10x faster than the
   traced engine's ``batch_tally`` + ``evaluate_vec`` per launch;
 * **single shot** (memo-cold first launch): no material regression
-  (>= 0.7x) — the fused pass does the same work as the traced engine, once,
-  minus the duplicated reduction.
+  (>= 0.7x) — the keyed pass does the traced engine's two passes (keys,
+  then values) as one.
 
 Both paths must produce bit-identical values and tallies — speed must not
 change physics.
@@ -25,10 +26,10 @@ import numpy as np
 
 from repro.analysis.sweep import default_inputs
 from repro.api import make_method
-from repro.batch import batch_tally, compile_vec
+from repro.batch import VecEvaluator, batch_tally
 
-#: One method per fused-kernel family: float interpolated L-LUT, fixed
-#: interpolated L-LUT, and the CORDIC rotation (the heaviest classifier).
+#: One method per family: float interpolated L-LUT, fixed interpolated
+#: L-LUT, and the CORDIC rotation (the heaviest pass).
 POINTS = [
     ("llut_i", {"density_log2": 10}),
     ("llut_i_fx", {"density_log2": 10}),
@@ -51,14 +52,14 @@ def _assert_same_numbers(fused, values, batch):
 
 
 def test_batch_vec_speedup_floors(bench_seeds, write_report):
-    """Fused evaluator: >= 10x steady-state, no single-shot regression.
+    """Launch evaluator: >= 10x steady-state, no single-shot regression.
 
     Measured steady-state margin is ~20-85x (one memoized array triple
     serves every repeat; path tallies come from the persistent per-plan
     cache on both sides), so the 10x floor leaves headroom for a loaded
     CI core.  CORDIC's ratio is the largest, ~70-85x: its traced side
     runs the same in-place CORDIC array kernel, ~75-95 ms per launch
-    here.  The cold first shot measures ~0.7-1.3x — the fused pass
+    here.  The cold first shot measures ~0.7-1.3x — the keyed pass
     shares one reduction between values and keys but still pays the same
     per-path scalar traces.
     """
@@ -75,7 +76,7 @@ def test_batch_vec_speedup_floors(bench_seeds, write_report):
         # bit-identity once per point.  Both engines run with persistent
         # per-plan tally caches, exactly as plan.execute() drives them —
         # the comparison is classification + value work, not path tracing.
-        warm_ev = compile_vec(m)
+        warm_ev = VecEvaluator(m)
         traced_tc, vec_tc = {}, {}
         _assert_same_numbers(warm_ev.run(xs, tally_cache=vec_tc),
                              m.evaluate_vec(xs),
@@ -89,7 +90,7 @@ def test_batch_vec_speedup_floors(bench_seeds, write_report):
 
         t0 = time.perf_counter()
         for _ in range(_REPEAT):
-            compile_vec(m).run(xs, tally_cache={})
+            VecEvaluator(m).run(xs, tally_cache={})
         t_cold = (time.perf_counter() - t0) / _REPEAT
 
         t0 = time.perf_counter()
@@ -106,7 +107,7 @@ def test_batch_vec_speedup_floors(bench_seeds, write_report):
                     f"  warm {t_warm * 1e3:8.2f} ms ({steady:5.1f}x)")
 
     report = "\n".join([
-        f"fused array evaluator vs traced engine "
+        f"launch evaluator vs traced engine "
         f"({_N} elements x {_REPEAT} launches)",
         *rows,
         f"  worst steady-state speedup : {worst_steady:5.1f}x "
@@ -118,10 +119,10 @@ def test_batch_vec_speedup_floors(bench_seeds, write_report):
     write_report("batch_vec.txt", report)
 
     assert worst_steady >= STEADY_FLOOR, (
-        f"steady-state fused evaluation only {worst_steady:.1f}x faster "
+        f"steady-state launch evaluation only {worst_steady:.1f}x faster "
         f"than the traced engine (floor {STEADY_FLOOR:.0f}x)"
     )
     assert worst_single >= SINGLE_SHOT_FLOOR, (
-        f"cold fused evaluation regressed to {worst_single:.2f}x of the "
+        f"cold launch evaluation regressed to {worst_single:.2f}x of the "
         f"traced engine (floor {SINGLE_SHOT_FLOOR:.1f}x)"
     )

@@ -1,5 +1,5 @@
 """Batched traced-execution engine (see :mod:`repro.batch.engine`) and
-the array-compiled fused evaluators layered on it (:mod:`repro.batch.vec`)."""
+the memoized launch evaluator layered on it (:mod:`repro.batch.vec`)."""
 
 from repro.batch.engine import (
     BatchResult,
@@ -9,7 +9,7 @@ from repro.batch.engine import (
     scalar_tally,
     tally_from_keys,
 )
-from repro.batch.vec import VecEvaluator, VecResult, array_digest, compile_vec
+from repro.batch.vec import VecEvaluator, VecResult, array_digest
 
 __all__ = [
     "BatchResult",
@@ -18,7 +18,6 @@ __all__ = [
     "VecResult",
     "array_digest",
     "batch_tally",
-    "compile_vec",
     "enumerate_paths",
     "scalar_tally",
     "tally_from_keys",

@@ -104,7 +104,7 @@ def batch_tally(method, xs: np.ndarray,
     paths (typically < 10) instead of the array length.  An unclassifiable
     method runs the scalar loop instead (:func:`scalar_tally` forces it).
 
-    This is the reference engine — launches go through the fused
+    This is the reference engine — launches go through the launch
     evaluator (:mod:`repro.batch.vec`), which aggregates through the same
     :func:`tally_from_keys`.  ``tally_cache`` maps path key -> traced
     Tally across calls: equal key implies a bit-identical tally — the
@@ -129,9 +129,9 @@ def tally_from_keys(method, xs: np.ndarray, keys: np.ndarray,
                     unique: Optional[tuple] = None) -> BatchResult:
     """The engine's back half: a BatchResult from precomputed path keys.
 
-    Split out of :func:`batch_tally` so the array-compiled evaluator
-    (:mod:`repro.batch.vec`) aggregates its fused keys through the exact
-    same code path — bit-identity with the traced engine by construction.
+    Split out of :func:`batch_tally` so the launch evaluator
+    (:mod:`repro.batch.vec`) aggregates its keys through the exact same
+    code path — bit-identity with the traced engine by construction.
     ``unique`` optionally carries a precomputed
     ``np.unique(keys, return_index/inverse/counts)`` tuple so memoized
     launches skip the sort as well.

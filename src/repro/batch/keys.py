@@ -1,39 +1,39 @@
-"""Vectorized helpers shared by the per-method cost-path classifiers.
+"""Vectorized helpers shared by the methods' array passes.
 
-A classifier replicates the *control flow* of a traced scalar kernel over a
-whole numpy array: it computes, for every element, which branches the scalar
-trace would take, and packs those branch bits into one int64 key.  The value
-computations are the same float32/integer semantics as the traced kernels,
-so the helpers here mirror the :class:`~repro.isa.CycleCounter` conventions
-exactly — including the awkward corners:
+An array pass replicates a traced scalar kernel over a whole numpy array:
+its float32 values and, when asked, which branches the scalar trace takes
+for every element, packed into one int64 cost-path key.  The helpers here
+mirror the :class:`~repro.isa.CycleCounter` conventions exactly —
+including the awkward corners:
 
 * ``ffloor``/``fround``/``f2fx`` map non-finite inputs to 0;
 * a traced ``fcmp(a, b) >= 0`` is *not* ``a >= b`` on NaN: the three-way
   compare returns 0, so the scalar branch tests ``not (a < b)``;
-* integer index arithmetic is done in float64 where the quantities are
-  exact (any float32 scaled by a power of two), avoiding int64 overflow on
-  extreme inputs.
+* table indices stay in float64 (exact for any float32 scaled by a power
+  of two) until they are clamped into the table, so no float-to-int cast
+  ever sees NaN, an infinity or a value beyond int64.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "pack_fields",
     "clamp_zone",
-    "fround_index_vec",
-    "ffloor_index_vec",
-    "f2fx_exact_vec",
-    "raw_index_clip",
+    "clamp_index",
+    "finite_vec",
+    "fround_index",
+    "ffloor_vec",
+    "f2fx_word_vec",
 ]
 
 _F32 = np.float32
 
-#: Magnitude bound below which float64 holds the scaled integers exactly.
-_EXACT_F64 = 2.0 ** 53
+#: Raw-word clip bound; see :func:`f2fx_word_vec`.
+_WORD_BOUND = 2.0 ** 53
 
 
 def pack_fields(fields: Sequence[Tuple[Union[np.ndarray, int], int]]) -> np.ndarray:
@@ -57,43 +57,66 @@ def clamp_zone(idx: np.ndarray, hi: Union[int, np.ndarray]) -> np.ndarray:
     return np.where(idx < 0, 1, np.where(idx > hi, 2, 0)).astype(np.int64)
 
 
-def fround_index_vec(v: np.ndarray) -> np.ndarray:
-    """Twin of ``CycleCounter.fround`` kept in float64 (exact as an index).
+def clamp_index(idx: np.ndarray, hi: Union[int, np.ndarray], keys: bool
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``FuzzyLUT._clamp_index`` over an array of integral indices.
 
-    Rounds half away from zero; non-finite inputs map to 0.  The result is
-    an integral float64, exact for any float32 input, so zone comparisons
-    against table bounds never overflow.
+    ``idx`` is int64, or exact float64 from :func:`ffloor_vec`; it is
+    clipped in place, so pass a temporary.  Returns the int64 index
+    clipped into ``[0, hi]`` and, when ``keys``, the :func:`clamp_zone` of
+    the unclipped one.
     """
-    v64 = np.asarray(v, dtype=_F32).astype(np.float64)
-    out = np.where(v64 >= 0, np.floor(v64 + 0.5), np.ceil(v64 - 0.5))
-    return np.where(np.isfinite(v64), out, 0.0)
+    zone = clamp_zone(idx, hi) if keys else None
+    np.clip(idx, 0, hi, out=idx)
+    return idx.astype(np.int64, copy=False), zone
 
 
-def ffloor_index_vec(v: np.ndarray) -> np.ndarray:
-    """Twin of ``CycleCounter.ffloor`` kept in float64 (exact as an index)."""
-    v64 = np.asarray(v, dtype=_F32).astype(np.float64)
-    return np.where(np.isfinite(v64), np.floor(v64), 0.0)
+def finite_vec(v: np.ndarray) -> np.ndarray:
+    """``v`` as float32 with non-finite lanes zeroed, the traced
+    conversions' rule; ``v`` itself when every lane is finite."""
+    v = np.asarray(v, dtype=_F32)
+    finite = np.isfinite(v)
+    return v if finite.all() else np.where(finite, v, _F32(0.0))
 
 
-def f2fx_exact_vec(v: np.ndarray, frac_bits: int) -> np.ndarray:
-    """Twin of ``CycleCounter.f2fx`` kept in float64.
+def fround_index(v: np.ndarray, hi: Union[int, np.ndarray], keys: bool
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The traced ``_clamp_index(fround(v), hi)`` over an array.
+
+    ``fround`` rounds half away from zero and maps non-finite inputs to 0.
+    Every negative index clamps to 0, so the index is taken as
+    ``floor(v + 0.5)``, exact for ``v >= 0``; the zone marks "below" where
+    ``fround(v) < 0``, i.e. where ``v + 0.5 <= 0``.
+    """
+    w = finite_vec(v).astype(np.float64)
+    w += 0.5
+    below = w <= 0 if keys else None
+    np.floor(w, out=w)
+    idx, zone = clamp_index(w, hi, keys)
+    if keys:
+        zone[below] = 1
+    return idx, zone
+
+
+def ffloor_vec(v: np.ndarray) -> np.ndarray:
+    """``CycleCounter.ffloor`` as exact float64 (non-finite inputs to 0)."""
+    w = finite_vec(v).astype(np.float64)
+    return np.floor(w, out=w)
+
+
+def f2fx_word_vec(v: np.ndarray, frac_bits: int) -> np.ndarray:
+    """``CycleCounter.f2fx`` as int64 raw words (non-finite inputs to 0).
 
     Scaling a float32 by ``2**frac_bits`` only shifts its exponent, so the
-    float64 product — and therefore the rounded raw word — is exact for the
-    whole float32 range (up to ~9e46 for s3.28, far below float64's 1e308).
+    float64 word is exact.  Words are clipped at +-2^53 for the int64
+    cast: a float32 word that large is a multiple of 2^30, and so is the
+    bound, so the clip keeps every table clamp zone, every hyperbolic
+    rotation direction and the low 30 bits that residual angles and
+    interpolation weights read.  (The circular quadrant split reads
+    higher bits, but the traced ``fx_mul`` overflows long before 2^53.)
     """
-    scaled = np.asarray(v, dtype=_F32).astype(np.float64) * (1 << frac_bits)
-    return np.where(np.isfinite(scaled), np.round(scaled), 0.0)
-
-
-def raw_index_clip(a_f: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split an exact float64 raw word into (int64 word, huge_pos, huge_neg).
-
-    Words beyond +-2^53 cannot be cast to int64 exactly; they are clipped
-    and flagged so callers can force the corresponding clamp zone (any such
-    word is far outside every table this library builds).
-    """
-    huge_pos = a_f >= _EXACT_F64
-    huge_neg = a_f <= -_EXACT_F64
-    a_i = np.clip(a_f, -_EXACT_F64, _EXACT_F64).astype(np.int64)
-    return a_i, huge_pos, huge_neg
+    w = finite_vec(v).astype(np.float64)
+    w *= float(1 << frac_bits)
+    np.rint(w, out=w)   # np.round's half-to-even, as the traced f2fx
+    np.clip(w, -_WORD_BOUND, _WORD_BOUND, out=w)
+    return w.astype(np.int64)

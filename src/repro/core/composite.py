@@ -79,25 +79,10 @@ class GeluViaTanh(Method):
         half_u = ctx.ldexp(u, -1)
         return ctx.fmul(half_u, one_plus)
 
-    def core_eval_vec(self, u):
-        u = np.asarray(u, dtype=_F32)
-        u2 = (u * u).astype(_F32)
-        u3 = (u2 * u).astype(_F32)
-        cubic = (_B * u3).astype(_F32)
-        inner = (u + cubic).astype(_F32)
-        arg = (_A * inner).astype(_F32)
-        t = self.tanh_method.core_eval_vec(arg)
-        one_plus = (_F32(1.0) + t).astype(_F32)
-        half_u = (u * _F32(0.5)).astype(_F32)
-        return (half_u * one_plus).astype(_F32)
-
-    def core_path_vec(self, u):
+    def core_vec(self, u, keys):
         # The wrapper arithmetic is branch-free; the cost path is decided
         # entirely by the inner tanh on the transformed argument.
         u = np.asarray(u, dtype=_F32)
-        u2 = (u * u).astype(_F32)
-        u3 = (u2 * u).astype(_F32)
-        cubic = (_B * u3).astype(_F32)
-        inner = (u + cubic).astype(_F32)
-        arg = (_A * inner).astype(_F32)
-        return self.tanh_method.core_path_vec(arg)
+        arg = _A * (u + _B * (u * u * u))
+        t, key = self.tanh_method.core_vec(arg, keys)
+        return (u * _F32(0.5)) * (_F32(1.0) + t), key

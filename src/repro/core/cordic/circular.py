@@ -17,10 +17,11 @@ linearly with accuracy in Figure 5 while LUT methods stay flat.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.batch.keys import f2fx_word_vec, pack_fields
 from repro.core.cordic import kernel
 from repro.core.cordic.tables import (
     CIRCULAR_ANGLE_FRAC_BITS,
@@ -120,39 +121,33 @@ class CordicCircular(Method):
         return ctx.fdiv(s, c)
 
     # ------------------------------------------------------------------
-    # PIM side, vectorized twin
+    # PIM side, array pass
 
     @staticmethod
-    def _split_quadrant_vec(a_f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(quad, z) of the 2/pi multiply on exact f2fx words ``a_f``.
+    def _split_quadrant_vec(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(quad, z) of the 2/pi multiply on int64 f2fx words ``a``.
 
-        quad and z read only bits 28..57 of the product, which depend on
-        the word mod 2^58 alone: fmod keeps that residue exact for every
-        float32 word, and the int64 product wraps without touching those
-        bits (the scalar ``QFormat.wrap`` keeps bits 0..31 of the shift).
+        quad and z read only bits 28..57 of the product, which the int64
+        product keeps when it wraps (the scalar ``QFormat.wrap`` keeps
+        bits 0..31 of the shift).
         """
-        a = np.fmod(a_f, 2.0 ** 58).astype(np.int64)
         q = (a * np.int64(_TWO_OVER_PI_RAW)) >> np.int64(_FRAC)
         return (q >> np.int64(_FRAC)) & np.int64(3), q & np.int64(_FRAC_MASK)
 
     def _rotation_vec(
         self, z: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cos, sin, n_pos) of the rotation from Q0.28 angle words z."""
-        x = np.full(z.shape, self._x0, dtype=_F32)
-        y = np.zeros(z.shape, dtype=_F32)
-        return kernel.rotate(x, y, z, range(self.iterations), self._angles,
-                             hyperbolic=False)
-
-    def _rotation_count_vec(self, z: np.ndarray) -> np.ndarray:
-        """Positive-direction count of ``_rotation_vec`` (z recurrence only).
+        """(cos, sin, n_pos) of the rotation from Q0.28 angle words z.
 
         The two rotation arms charge the same number of slots but different
         op *names* (isub on the positive arm, iadd on the negative one), so
         the counts dict depends on the direction multiset — fully captured
-        by this count.
+        by the positive-direction count n_pos.
         """
-        return kernel.rotation_count(z, self._angles)
+        x = np.full(z.shape, self._x0, dtype=_F32)
+        y = np.zeros(z.shape, dtype=_F32)
+        return kernel.rotate(x, y, z, range(self.iterations), self._angles,
+                             hyperbolic=False)
 
     def _quadrant_select_vec(self, quad: np.ndarray, c: np.ndarray,
                              s: np.ndarray) -> np.ndarray:
@@ -169,18 +164,15 @@ class CordicCircular(Method):
             y, negate = np.where(odd, s, c), (quad + 1) & 2
         return (y.view(np.uint32) ^ (negate << 30).astype(np.uint32)).view(_F32)
 
-    def core_eval_vec(self, u):
-        from repro.batch.keys import f2fx_exact_vec
+    def _circular_key(self, a: np.ndarray, quad: np.ndarray,
+                      n_pos: np.ndarray) -> Optional[np.ndarray]:
+        """Core path key: tan's quadrant parity above the direction count.
 
-        u = np.asarray(u, dtype=_F32)
-        quad, z = self._split_quadrant_vec(f2fx_exact_vec(u, _FRAC))
-        c, s, _ = self._rotation_vec(z)
-        return self._quadrant_select_vec(quad, c, s)
-
-    def _path_key_vec(self, quad: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
-        """Core path key: tan's quadrant parity above the direction count."""
-        from repro.batch.keys import pack_fields
-
+        Abstains (``None``) at |raw| >= 2^35: the scalar fx_mul itself
+        overflows ``QFormat.wrap`` near 2^35.65.
+        """
+        if bool(np.any(np.abs(a) >= 2**35)):
+            return None
         if self.spec.name == "tan":
             # tan additionally pays one fneg in odd quadrants; sin/cos
             # evaluate every tuple item of the quadrant dispatch.
@@ -189,14 +181,11 @@ class CordicCircular(Method):
             parity = np.zeros(quad.shape, dtype=np.int64)
         return pack_fields([(parity, 1), (n_pos, 16)])
 
-    def core_path_vec(self, u):
-        # Replicate the scalar Q3.28 pipeline exactly: f2fx (non-finite ->
-        # 0), then the 2/pi fixed multiply.  At |raw| >= 2^35 we abstain:
-        # the scalar fx_mul itself overflows QFormat.wrap near 2^35.65.
-        from repro.batch.keys import f2fx_exact_vec
-
-        a_f = f2fx_exact_vec(np.asarray(u, dtype=_F32), _FRAC)
-        if bool(np.any(np.abs(a_f) >= 2.0**35)):
-            return None
-        quad, z = self._split_quadrant_vec(a_f)
-        return self._path_key_vec(quad, self._rotation_count_vec(z))
+    def core_vec(self, u, keys):
+        # The scalar Q3.28 pipeline: f2fx (non-finite -> 0), then the 2/pi
+        # fixed multiply.
+        a = f2fx_word_vec(u, _FRAC)
+        quad, z = self._split_quadrant_vec(a)
+        c, s, n_pos = self._rotation_vec(z)
+        y = self._quadrant_select_vec(quad, c, s)
+        return y, (self._circular_key(a, quad, n_pos) if keys else None)

@@ -20,6 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.batch.keys import f2fx_word_vec
 from repro.core.cordic.circular import CordicCircular
 from repro.core.cordic.tables import (
     CIRCULAR_ANGLE_FRAC_BITS,
@@ -98,11 +99,16 @@ class CordicCircularFixed(CordicCircular):
         return ctx.fx2f(raw, VECTOR_FRAC)
 
     # ------------------------------------------------------------------
-    # vectorized twin
+    # array pass
 
-    def _rotate_raw_vec(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _rotate_raw_vec(
+        self, z: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cos, sin, n_pos) of ``_rotate_raw``: s1.30 words and the
+        positive-direction count the path key records."""
         x = np.full(z.shape, self._x0_raw, dtype=np.int64)
         y = np.zeros(z.shape, dtype=np.int64)
+        n_pos = np.zeros(z.shape, dtype=np.int64)
         for i in range(self.iterations):
             t = int(self._angles[i])
             if i == 0:
@@ -112,23 +118,23 @@ class CordicCircularFixed(CordicCircular):
                 xs = (x + half) >> i
                 ys = (y + half) >> i
             pos = z >= 0
+            n_pos += pos
             x_pos, x_neg = x - ys, x + ys
             y_pos, y_neg = y + xs, y - xs
             x = np.where(pos, x_pos, x_neg)
             y = np.where(pos, y_pos, y_neg)
             z = np.where(pos, z - t, z + t)
-        return x, y
+        return x, y, n_pos
 
-    def core_eval_vec(self, u):
-        from repro.batch.keys import f2fx_exact_vec
-
-        u = np.asarray(u, dtype=_F32)
-        quad, z = self._split_quadrant_vec(f2fx_exact_vec(u, _FRAC))
-        c, s = self._rotate_raw_vec(z)
+    def core_vec(self, u, keys):
+        a = f2fx_word_vec(u, _FRAC)
+        quad, z = self._split_quadrant_vec(a)
+        c, s, n_pos = self._rotate_raw_vec(z)
         if self.spec.name == "sin":
             raw = np.select([quad == 0, quad == 1, quad == 2, quad == 3],
                             [s, c, -s, -c])
         else:
             raw = np.select([quad == 0, quad == 1, quad == 2, quad == 3],
                             [c, -s, -c, s])
-        return (raw / float(1 << VECTOR_FRAC)).astype(_F32)
+        y = (raw / float(1 << VECTOR_FRAC)).astype(_F32)
+        return y, (self._circular_key(a, quad, n_pos) if keys else None)

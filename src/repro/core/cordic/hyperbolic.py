@@ -23,6 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.batch.keys import f2fx_word_vec, pack_fields
 from repro.core.cordic import kernel
 from repro.core.cordic.tables import (
     HYPERBOLIC_ANGLE_FRAC_BITS,
@@ -201,134 +202,90 @@ class CordicHyperbolic(Method):
         return ctx.ldexp(d, -1)
 
     # ------------------------------------------------------------------
-    # vectorized twins
-
-    @staticmethod
-    def _z_words_vec(w: np.ndarray) -> np.ndarray:
-        """Scalar-faithful ``f2fx(w, _FRAC)`` as int64 angle words.
-
-        Non-finite lanes give 0, like the traced f2fx.  Words are clipped
-        to +-2^53: the angle table sums to under 2^31, so a lane that large
-        steps in one direction throughout, clipped or not.
-        """
-        from repro.batch.keys import f2fx_exact_vec
-
-        a_f = f2fx_exact_vec(w, _FRAC)
-        return np.clip(a_f, -2.0**53, 2.0**53).astype(np.int64)
+    # array pass
 
     def _rotation_vec(
         self, z: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cosh, sinh, n_pos) of the rotation from Q1.30 angle words z."""
+        """(cosh, sinh, n_pos) of the rotation from Q1.30 angle words z.
+
+        n_pos decides the fadd/fsub and isub/iadd totals; both arms have
+        equal slot cost.
+        """
         x = np.full(z.shape, self._inv_gain, dtype=_F32)
         y = np.zeros(z.shape, dtype=_F32)
         return kernel.rotate(x, y, z, self._schedule, self._angles,
                              hyperbolic=True)
 
-    def _rotation_count_vec(self, z: np.ndarray) -> np.ndarray:
-        """Positive-direction count of ``_rotation_vec`` (decides the
-        fadd/fsub and isub/iadd totals; both arms have equal slot cost)."""
-        return kernel.rotation_count(z, self._angles)
+    def _rotate_by_vec(
+        self, w: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """(cosh, sinh, n_pos, classifiable) of the rotation by angles w.
+
+        Angle words are the scalar ``f2fx(w, _FRAC)``, non-finite lanes 0.
+        Words are clipped at +-2^53, which keeps every direction (the angle
+        table sums to under 2^31) but not the top bits a hybrid's table
+        index reads, so the key abstains once a word reaches 2^52.
+        """
+        z = f2fx_word_vec(w, _FRAC)
+        c, s, n_pos = self._rotation_vec(z)
+        return c, s, n_pos, not bool(np.any(np.abs(z) >= 2**52))
 
     def _vectoring_pass_vec(
         self, x: np.ndarray, y: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(final x, angle word z, n_pos) of the vectoring from (x, y)."""
+        """(final x, angle word z, n_pos) of the vectoring from (x, y).
+
+        Vectoring decides on the float y component, so the key needs the
+        full float recurrence.
+        """
         return kernel.vector(x, y, self._schedule, self._angles,
                              hyperbolic=True)
 
-    def _exp_core_vec(self, f: np.ndarray) -> np.ndarray:
-        c, s, _ = self._rotation_vec(self._z_words_vec(f))
-        return c + s
-
-    def _exp_full_vec(self, v: np.ndarray) -> np.ndarray:
-        f, k = self._exp_reducer.reduce_vec(v)
-        return ldexpf_vec(self._exp_core_vec(f), k)
-
-    def core_eval_vec(self, u):
+    def core_vec(self, u, keys):
         u = np.asarray(u, dtype=_F32)
         name = self.spec.name
-        if name == "exp":
-            return self._exp_core_vec(u)
-
         if name in ("log", "log2", "log10"):
-            _, z, _ = self._vectoring_pass_vec(u + _F32(1.0), u - _F32(1.0))
-            ln = ((z << 1) / float(1 << _FRAC)).astype(_F32)
-            if self._log_scale is None:
-                return ln
-            return ln * self._log_scale
+            _, z, n_pos = self._vectoring_pass_vec(u + _F32(1.0), u - _F32(1.0))
+            y = ((z << 1) / float(1 << _FRAC)).astype(_F32)
+            if self._log_scale is not None:
+                y = y * self._log_scale
+            return y, (n_pos if keys else None)
 
         if name == "sqrt":
-            x, _, _ = self._vectoring_pass_vec(u + _F32(0.25), u - _F32(0.25))
-            return x * self._inv_gain
+            x, _, n_pos = self._vectoring_pass_vec(u + _F32(0.25),
+                                                   u - _F32(0.25))
+            return x * self._inv_gain, (n_pos if keys else None)
 
-        # sinh/cosh/tanh: the traced fcmp(u, B) <= 0 sends NaN down the
-        # rotation path — hence ~(u > B), not (u <= B).
+        if name == "exp":
+            c, s, n_pos, ok = self._rotate_by_vec(u)
+            return c + s, (n_pos if keys and ok else None)
+
+        # sinh/cosh/tanh: one branch picks the rotation or the exp-identity
+        # fallback.  The traced fcmp(u, B) <= 0 sends NaN down the rotation
+        # path — hence ~(u > B), not (u <= B).
         small = ~(u > _F32(ROTATION_BOUND))
-        out = np.empty(u.shape, dtype=_F32)
+        y = np.empty(u.shape, dtype=_F32)
+        n_pos = np.zeros(u.shape, dtype=np.int64)
+        below = np.zeros(u.shape, dtype=bool)
+        ok = True
         if np.any(small):
-            c, s, _ = self._rotation_vec(self._z_words_vec(u[small]))
-            if name == "sinh":
-                out[small] = s
-            elif name == "cosh":
-                out[small] = c
-            else:
-                out[small] = s / c
-
+            c, s, n_pos[small], ok = self._rotate_by_vec(u[small])
+            y[small] = s if name == "sinh" else c if name == "cosh" else s / c
         big = ~small
         if np.any(big):
             ub = u[big]
-            if name == "tanh":
-                e2u = self._exp_full_vec(ldexpf_vec(ub, 1))
-                out[big] = _F32(1.0) - _F32(2.0) / (e2u + _F32(1.0))
-            else:
-                eu = self._exp_full_vec(ub)
-                einv = _F32(1.0) / eu
-                d = (eu - einv) if name == "sinh" else (eu + einv)
-                out[big] = ldexpf_vec(d, -1)
-        return out
-
-    def _z_raw_vec(self, w: np.ndarray):
-        """``_z_words_vec`` for the classifiers, or None when a word reaches
-        2^52: the clip keeps a word's direction, not the low bits a
-        hybrid's residual angle reads."""
-        z = self._z_words_vec(w)
-        if bool(np.any(np.abs(z) >= 2**52)):
-            return None
-        return z
-
-    def core_path_vec(self, u):
-        from repro.batch.keys import pack_fields
-
-        u = np.asarray(u, dtype=_F32)
-        name = self.spec.name
-        if name == "exp":
-            z = self._z_raw_vec(u)
-            if z is None:
-                return None
-            return self._rotation_count_vec(z)
-
-        # Vectoring decides on the float y component, so the classifier
-        # runs the full float recurrence.
-        if name in ("log", "log2", "log10"):
-            return self._vectoring_pass_vec(u + _F32(1.0), u - _F32(1.0))[2]
-
-        if name == "sqrt":
-            return self._vectoring_pass_vec(u + _F32(0.25), u - _F32(0.25))[2]
-
-        # sinh/cosh/tanh: one branch picks rotation vs the exp-identity
-        # fallback, with the same NaN-to-rotation test as core_eval_vec.
-        small = ~(u > _F32(ROTATION_BOUND))
-        z_small = self._z_raw_vec(np.where(small, u, _F32(0.0)).astype(_F32))
-        if z_small is None:
-            return None
-        v = ldexpf_vec(u, 1) if name == "tanh" else u
-        f, below = self._exp_reducer.residual_vec(v)
-        z_big = self._z_raw_vec(f)
-        if z_big is None:
-            return None
-        n_pos = self._rotation_count_vec(np.where(small, z_small, z_big))
-        below_bit = (below & ~small).astype(np.int64)
-        return pack_fields(
-            [(small.astype(np.int64), 1), (below_bit, 1), (n_pos, 16)]
-        )
+            v = ldexpf_vec(ub, 1) if name == "tanh" else ub
+            f, k, below[big] = self._exp_reducer.reduce_vec(v, keys=True)
+            c, s, n_pos[big], ok_big = self._rotate_by_vec(f)
+            e = ldexpf_vec(c + s, k)
+            ok = ok and ok_big
+            if name == "tanh":   # tanh u = 1 - 2 / (e^(2u) + 1)
+                y[big] = _F32(1.0) - _F32(2.0) / (e + _F32(1.0))
+            else:                # sinh / cosh via e^u and its reciprocal
+                einv = _F32(1.0) / e
+                y[big] = ldexpf_vec((e - einv) if name == "sinh"
+                                    else (e + einv), -1)
+        if not (keys and ok):
+            return y, None
+        return y, pack_fields([(small, 1), (below, 1), (n_pos, 16)])

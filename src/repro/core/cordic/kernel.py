@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["rotate", "rotation_count", "vector"]
+__all__ = ["rotate", "vector"]
 
 _F32 = np.float32
 
@@ -51,18 +51,6 @@ def _directions(z: np.ndarray, angles: Sequence[int],
 
 def _positive_count(iterations: int, dsum: np.ndarray) -> np.ndarray:
     return (dsum + iterations) >> 1
-
-
-def rotation_count(z: np.ndarray, angles: Sequence[int]) -> np.ndarray:
-    """Positive-direction count of a rotation from angle words ``z``.
-
-    The z recurrence is integer and independent of the float vector, so
-    the rotation-mode classifiers run it alone.
-    """
-    dsum = np.zeros(np.shape(z), dtype=np.int64)
-    for _ in _directions(z, angles, dsum):
-        pass
-    return _positive_count(len(angles), dsum)
 
 
 def rotate(x: np.ndarray, y: np.ndarray, z: np.ndarray,

@@ -10,7 +10,6 @@ hence no float divide — is ever needed.  Only odd symmetry is applied.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -92,22 +91,14 @@ class CordicArctan(Method):
         rad = fx_mul(ctx, Q3_28, z, _HALF_PI_RAW)
         return ctx.fx2f(rad, _FRAC)
 
-    def _vectoring_pass_vec(
-        self, y: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(final x, angle word z, n_pos) of the vectoring from (1, y)."""
-        return kernel.vector(np.ones(y.shape, dtype=_F32), y,
-                             range(self.iterations), self._angles,
-                             hyperbolic=False)
-
-    def core_eval_vec(self, u):
-        _, z, _ = self._vectoring_pass_vec(np.asarray(u, dtype=_F32))
-        rad = (z * _HALF_PI_RAW) >> _FRAC
-        return (rad / float(1 << _FRAC)).astype(_F32)
-
-    def core_path_vec(self, u):
+    def core_vec(self, u, keys):
         # Both arms have equal slot cost, but charge iadd vs isub — the op
         # counts depend on the direction multiset.  Directions are decided
-        # on the float y component, so the classifier runs the float32
+        # on the float y component, so the key needs the float32
         # recurrence too.
-        return self._vectoring_pass_vec(np.asarray(u, dtype=_F32))[2]
+        u = np.asarray(u, dtype=_F32)
+        _, z, n_pos = kernel.vector(np.ones(u.shape, dtype=_F32), u,
+                                    range(self.iterations), self._angles,
+                                    hyperbolic=False)
+        rad = (z * _HALF_PI_RAW) >> _FRAC
+        return (rad / float(1 << _FRAC)).astype(_F32), (n_pos if keys else None)

@@ -113,11 +113,6 @@ class HybridCircular(CordicCircular):
                              range(j, self.iterations), self._angles[j:],
                              hyperbolic=False)
 
-    def _rotation_count_vec(self, z: np.ndarray) -> np.ndarray:
-        j = self.lut_bits
-        _, z = _table_split_vec(z, CIRCULAR_ANGLE_FRAC_BITS, j)
-        return kernel.rotation_count(z, self._angles[j:])
-
 
 class HybridHyperbolic(CordicHyperbolic):
     """CORDIC+LUT for exp/sinh/cosh/tanh: the table covers the rotation's
@@ -196,7 +191,3 @@ class HybridHyperbolic(CordicHyperbolic):
         idx, z = _table_split_vec(z, HYPERBOLIC_ANGLE_FRAC_BITS, self.lut_bits)
         return kernel.rotate(self._xtab[idx], self._ytab[idx], z,
                              self._schedule, self._angles, hyperbolic=True)
-
-    def _rotation_count_vec(self, z: np.ndarray) -> np.ndarray:
-        _, z = _table_split_vec(z, HYPERBOLIC_ANGLE_FRAC_BITS, self.lut_bits)
-        return kernel.rotation_count(z, self._angles)

@@ -99,7 +99,8 @@ class FuzzyLUT(Method):
     """Base class for all table-based methods.
 
     Subclasses populate ``self._table`` (and friends) in ``_build`` and
-    implement the traced/vectorized address generation.
+    implement the traced address generation (``core_eval``) and its array
+    pass (``core_vec``).
     """
 
     #: Bytes per stored entry (float32 or 32-bit fixed raw word).
@@ -119,6 +120,13 @@ class FuzzyLUT(Method):
 
     def host_entries(self) -> int:
         return self.entries
+
+    def _interpolate_vec(self, idx: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Array form of the traced ``l0 + (l1 - l0) * delta`` between
+        entries ``idx`` and ``idx + 1`` (float32)."""
+        l0 = self._table[idx]
+        l1 = self._table[idx + 1]
+        return l0 + (l1 - l0) * delta
 
     def _clamp_index(self, ctx, idx: int, hi: int) -> int:
         """Traced clamp of a table index into ``[0, hi]``.

@@ -91,24 +91,17 @@ class _DLLUTBase(FuzzyLUT):
             return self.low.core_eval(ctx, u)
         return self.high.core_eval(ctx, u)
 
-    def core_eval_vec(self, u):
-        u = np.asarray(u, dtype=_F32)
-        below = u < self.boundary
-        out = self.high.core_eval_vec(u)
-        if np.any(below):
-            out = out.copy()
-            out[below] = self.low.core_eval_vec(u[below])
-        return out
-
-    def core_path_vec(self, u):
+    def core_vec(self, u, keys):
+        # Each lane runs one sub-table's pass; keys are elementwise, so a
+        # pass over the low subset keys its lanes as a full pass would.
         u = np.asarray(u, dtype=_F32)
         below = u < self.boundary   # fcmp < 0: NaN dispatches high
-        low_key = self.low.core_path_vec(u)
-        high_key = self.high.core_path_vec(u)
-        if low_key is None or high_key is None:
-            return None
-        inner = np.where(below, low_key, high_key)
-        return pack_fields([(below, 1), (inner, 8)])
+        y, key = self.high.core_vec(u, keys)
+        if np.any(below):
+            y[below], low_key = self.low.core_vec(u[below], keys)
+            if keys:
+                key[below] = low_key
+        return y, (pack_fields([(below, 1), (key, 8)]) if keys else None)
 
 
 class DLLUT(_DLLUTBase):

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.batch.keys import clamp_zone
+from repro.batch.keys import clamp_index
 from repro.core.float_bits import EXP_BIAS, MANT_BITS, bits_to_float
 from repro.core.functions.registry import FunctionSpec
 from repro.core.ldexp import ldexpf_vec
@@ -71,12 +71,14 @@ class _DLUTGeometry:
         i = np.asarray(i, dtype=np.int64)
         return 0.5 * (self.edge(i) + self.edge(i + 1))
 
+    def address_vec(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(unclamped cell index, float bits) of each input, as traced."""
+        bits = np.asarray(u, dtype=_F32).view(np.uint32).astype(np.int64)
+        return (bits >> self.shift) - self.offset, bits
 
-class DLUT(FuzzyLUT):
-    """Non-interpolated D-LUT: three integer ops per lookup, no float math."""
 
-    method_name = "dlut"
-    interpolated = False
+class _DirectLUT(FuzzyLUT):
+    """Exponent/mantissa-slicing table shared by both D-LUT variants."""
 
     def __init__(
         self,
@@ -89,6 +91,13 @@ class DLUT(FuzzyLUT):
     ):
         super().__init__(spec, **kwargs)
         self.geom = _DLUTGeometry(spec, mant_bits, e_min, e_max, interval)
+
+
+class DLUT(_DirectLUT):
+    """Non-interpolated D-LUT: three integer ops per lookup, no float math."""
+
+    method_name = "dlut"
+    interpolated = False
 
     def _build(self) -> None:
         self._table = build_table(
@@ -106,40 +115,18 @@ class DLUT(FuzzyLUT):
         idx = self._clamp_index(ctx, idx, g.cells - 1)
         return self._load(ctx, self._table, idx)
 
-    def core_eval_vec(self, u):
-        g = self.geom
-        u = np.asarray(u, dtype=_F32)
-        bits = u.view(np.uint32).astype(np.int64)
-        idx = (bits >> g.shift) - g.offset
-        idx = np.clip(idx, 0, g.cells - 1)
-        return self._table[idx]
-
-    def core_path_vec(self, u):
-        g = self.geom
-        u = np.asarray(u, dtype=_F32)
-        bits = u.view(np.uint32).astype(np.int64)
-        idx = (bits >> g.shift) - g.offset
-        return clamp_zone(idx, g.cells - 1)
+    def core_vec(self, u, keys):
+        idx, zone = clamp_index(self.geom.address_vec(u)[0],
+                                self.geom.cells - 1, keys)
+        return self._table[idx], zone
 
 
-class DLUTInterpolated(FuzzyLUT):
+class DLUTInterpolated(_DirectLUT):
     """Interpolated D-LUT: the interpolation weight comes from the low
     mantissa bits, so address generation still needs no float multiply."""
 
     method_name = "dlut_i"
     interpolated = True
-
-    def __init__(
-        self,
-        spec: FunctionSpec,
-        mant_bits: int = 8,
-        e_min: int = -14,
-        e_max: Optional[int] = None,
-        interval: Optional[Tuple[float, float]] = None,
-        **kwargs,
-    ):
-        super().__init__(spec, **kwargs)
-        self.geom = _DLUTGeometry(spec, mant_bits, e_min, e_max, interval)
 
     def _build(self) -> None:
         # Entries at cell edges, with one guard cell past 2^e_max.
@@ -165,21 +152,10 @@ class DLUTInterpolated(FuzzyLUT):
         prod = ctx.fmul(diff, delta)
         return ctx.fadd(l0, prod)
 
-    def core_eval_vec(self, u):
+    def core_vec(self, u, keys):
         g = self.geom
-        u = np.asarray(u, dtype=_F32)
-        bits = u.view(np.uint32).astype(np.int64)
-        idx = (bits >> g.shift) - g.offset
-        low = (bits & ((1 << g.shift) - 1)).astype(_F32)
-        delta = ldexpf_vec(low, -g.shift)
-        idx = np.clip(idx, 0, g.cells)
-        l0 = self._table[idx]
-        l1 = self._table[idx + 1]
-        return (l0 + ((l1 - l0).astype(_F32) * delta).astype(_F32)).astype(_F32)
-
-    def core_path_vec(self, u):
-        g = self.geom
-        u = np.asarray(u, dtype=_F32)
-        bits = u.view(np.uint32).astype(np.int64)
-        idx = (bits >> g.shift) - g.offset
-        return clamp_zone(idx, g.cells)
+        idx, bits = g.address_vec(u)
+        # The weight is the low mantissa bits below the cell index.
+        delta = ldexpf_vec((bits & ((1 << g.shift) - 1)).astype(_F32), -g.shift)
+        idx, zone = clamp_index(idx, g.cells, keys)
+        return self._interpolate_vec(idx, delta), zone

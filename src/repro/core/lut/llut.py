@@ -27,12 +27,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.batch.keys import (
-    clamp_zone,
-    f2fx_exact_vec,
-    ffloor_index_vec,
-    fround_index_vec,
+    clamp_index,
+    f2fx_word_vec,
+    ffloor_vec,
+    fround_index,
     pack_fields,
-    raw_index_clip,
 )
 from repro.core.functions.registry import FunctionSpec
 from repro.core.ldexp import ldexpf_vec
@@ -84,11 +83,8 @@ class _LLUTGeometry:
         return self.p + np.asarray(i, dtype=np.float64) * self.step
 
 
-class LLUT(FuzzyLUT):
-    """Non-interpolated L-LUT: zero float multiplies per lookup."""
-
-    method_name = "llut"
-    interpolated = False
+class _FloatLLUT(FuzzyLUT):
+    """Power-of-two float grid shared by both float L-LUT variants."""
 
     def __init__(
         self,
@@ -107,6 +103,13 @@ class LLUT(FuzzyLUT):
 
     def planned_table_bytes(self) -> int:
         return self.geom.entries * self.ENTRY_BYTES
+
+
+class LLUT(_FloatLLUT):
+    """Non-interpolated L-LUT: zero float multiplies per lookup."""
+
+    method_name = "llut"
+    interpolated = False
 
     def core_eval(self, ctx: CycleCounter, u):
         g = self.geom
@@ -129,40 +132,27 @@ class LLUT(FuzzyLUT):
         idx = self._clamp_index(ctx, idx, self.entries - 1)
         return self._load(ctx, self._table, idx)
 
-    def core_eval_vec(self, u):
+    def core_vec(self, u, keys):
         g = self.geom
         u = np.asarray(u, dtype=_F32)
+        fields = []
         if g.magic_ok:
-            t = (u + g.c).astype(_F32)
-            bits = t.view(np.int32).astype(np.int64)   # signed view
-            bits = np.clip(bits, g.lo_bits, g.hi_bits - 1)
-            idx = bits & _MASK22
+            bits = (u + g.c).view(np.int32).astype(np.int64)   # signed view
+            idx, zone = clamp_index(
+                np.clip(bits, g.lo_bits, g.hi_bits - 1) & _MASK22,
+                self.entries - 1, keys)
+            if keys:
+                b_lo = bits < g.lo_bits
+                fields = [(b_lo, 1), (~b_lo & (bits >= g.hi_bits), 1)]
         else:
-            v = u if g.p == 0 else (u - _F32(g.p)).astype(_F32)
-            w = ldexpf_vec(v, g.n)
-            idx = np.floor(w.astype(np.float64) + 0.5).astype(np.int64)
-        idx = np.clip(idx, 0, self.entries - 1)
-        return self._table[idx]
-
-    def core_path_vec(self, u):
-        g = self.geom
-        u = np.asarray(u, dtype=_F32)
-        if g.magic_ok:
-            t = (u + g.c).astype(_F32)
-            bits = t.view(np.int32).astype(np.int64)
-            b_lo = bits < g.lo_bits
-            b_hi = (~b_lo) & (bits >= g.hi_bits)
-            idx = np.clip(bits, g.lo_bits, g.hi_bits - 1) & _MASK22
-            return pack_fields([
-                (b_lo, 1), (b_hi, 1),
-                (clamp_zone(idx, self.entries - 1), 2),
-            ])
-        v = u if g.p == 0 else (u - _F32(g.p)).astype(_F32)
-        w = ldexpf_vec(v, g.n)
-        return clamp_zone(fround_index_vec(w), self.entries - 1)
+            v = u if g.p == 0 else u - _F32(g.p)
+            idx, zone = fround_index(ldexpf_vec(v, g.n), self.entries - 1,
+                                     keys)
+        key = pack_fields(fields + [(zone, 2)]) if keys else None
+        return self._table[idx], key
 
 
-class LLUTInterpolated(FuzzyLUT):
+class LLUTInterpolated(_FloatLLUT):
     """Interpolated L-LUT: one float multiply per lookup (the interpolation).
 
     The grid value is reconstructed exactly from the magic sum
@@ -172,24 +162,6 @@ class LLUTInterpolated(FuzzyLUT):
 
     method_name = "llut_i"
     interpolated = True
-
-    def __init__(
-        self,
-        spec: FunctionSpec,
-        density_log2: int = 10,
-        interval: Optional[Tuple[float, float]] = None,
-        **kwargs,
-    ):
-        super().__init__(spec, **kwargs)
-        self.geom = _LLUTGeometry(spec, density_log2, interval)
-
-    def _build(self) -> None:
-        self._table = build_table(
-            self.spec.reference, self.geom.a_inv, self.geom.entries
-        )
-
-    def planned_table_bytes(self) -> int:
-        return self.geom.entries * self.ENTRY_BYTES
 
     def core_eval(self, ctx: CycleCounter, u):
         g = self.geom
@@ -231,60 +203,33 @@ class LLUTInterpolated(FuzzyLUT):
         prod = ctx.fmul(diff, delta)
         return ctx.fadd(l0, prod)
 
-    def core_eval_vec(self, u):
+    def core_vec(self, u, keys):
         g = self.geom
         u = np.asarray(u, dtype=_F32)
+        fields = []
         if g.magic_ok:
-            t = (u + g.c).astype(_F32)
-            bits = t.view(np.int32).astype(np.int64)   # signed view
-            low = bits < g.lo_bits
-            bits = np.clip(bits, g.lo_bits, g.hi_bits - 1)
-            t = bits.astype(np.uint32).view(_F32)
-            u = np.where(low, _F32(g.p), u)
-            idx = bits & _MASK22
-            grid = (t - g.c).astype(_F32)
-            d = (u - grid).astype(_F32)
-            delta = ldexpf_vec(d, g.n)
-            neg = delta < 0
-            idx = idx - neg
-            delta = np.where(neg, (delta + _F32(1.0)).astype(_F32), delta)
+            bits0 = (u + g.c).view(np.int32).astype(np.int64)   # signed view
+            b_lo = bits0 < g.lo_bits
+            bits = np.clip(bits0, g.lo_bits, g.hi_bits - 1)
+            grid = bits.astype(np.uint32).view(_F32) - g.c   # p + idx * 2^-n
+            # Below p the traced kernel interpolates from the left edge.
+            delta = ldexpf_vec(np.where(b_lo, _F32(g.p), u) - grid, g.n)
+            neg = delta < 0            # fcmp(delta, 0) < 0: NaN is not-neg
+            idx = (bits & _MASK22) - neg
+            delta = np.where(neg, delta + _F32(1.0), delta)
+            if keys:
+                # fcmp(delta, 1) > 0: NaN is not-gt
+                fields = [(b_lo, 1), (~b_lo & (bits0 >= g.hi_bits), 1),
+                          (neg, 1), (delta > _F32(1.0), 1)]
             delta = np.minimum(delta, _F32(1.0))
         else:
-            v = u if g.p == 0 else (u - _F32(g.p)).astype(_F32)
+            v = u if g.p == 0 else u - _F32(g.p)
             w = ldexpf_vec(v, g.n)
-            idx = np.floor(w).astype(np.int64)
-            delta = (w - idx.astype(_F32)).astype(_F32)
-        idx = np.clip(idx, 0, self.entries - 2)
-        l0 = self._table[idx]
-        l1 = self._table[idx + 1]
-        return (l0 + ((l1 - l0).astype(_F32) * delta).astype(_F32)).astype(_F32)
-
-    def core_path_vec(self, u):
-        g = self.geom
-        u = np.asarray(u, dtype=_F32)
-        if g.magic_ok:
-            t = (u + g.c).astype(_F32)
-            bits0 = t.view(np.int32).astype(np.int64)
-            b_lo = bits0 < g.lo_bits
-            b_hi = (~b_lo) & (bits0 >= g.hi_bits)
-            bits = np.clip(bits0, g.lo_bits, g.hi_bits - 1)
-            t = bits.astype(np.uint32).view(_F32)
-            uu = np.where(b_lo, _F32(g.p), u)
-            idx = bits & _MASK22
-            grid = (t - g.c).astype(_F32)
-            d = (uu - grid).astype(_F32)
-            delta = ldexpf_vec(d, g.n)
-            neg = delta < 0            # fcmp(delta, 0) < 0: NaN is not-neg
-            idx = idx - neg
-            delta = np.where(neg, (delta + _F32(1.0)).astype(_F32), delta)
-            gt1 = delta > _F32(1.0)    # fcmp(delta, 1) > 0: NaN is not-gt
-            return pack_fields([
-                (b_lo, 1), (b_hi, 1), (neg, 1), (gt1, 1),
-                (clamp_zone(idx, self.entries - 2), 2),
-            ])
-        v = u if g.p == 0 else (u - _F32(g.p)).astype(_F32)
-        w = ldexpf_vec(v, g.n)
-        return clamp_zone(ffloor_index_vec(w), self.entries - 2)
+            idx = ffloor_vec(w)
+            delta = w - idx.astype(_F32)   # against the unclamped floor
+        idx, zone = clamp_index(idx, self.entries - 2, keys)
+        key = pack_fields(fields + [(zone, 2)]) if keys else None
+        return self._interpolate_vec(idx, delta), key
 
 
 class _FixedGeometry:
@@ -322,11 +267,13 @@ class _FixedGeometry:
         return (self.p_raw + i * (1 << self.shift)) / self.fmt.scale
 
 
-class LLUTFixed(FuzzyLUT):
-    """Non-interpolated fixed-point L-LUT (s3.28 arithmetic end to end)."""
+class _FixedLLUT(FuzzyLUT):
+    """s3.28 grid shared by both fixed-point L-LUT variants.
 
-    method_name = "llut_fx"
-    interpolated = False
+    Subclasses give ``_raw_vec(a, keys)``: the array pass of their
+    ``core_eval_raw`` over int64 raw words, as (raw outputs, zone keys).
+    """
+
     fixed_point = True
 
     def __init__(
@@ -348,6 +295,22 @@ class LLUTFixed(FuzzyLUT):
 
     def planned_table_bytes(self) -> int:
         return self.geom.entries * self.ENTRY_BYTES
+
+    def core_eval_raw_vec(self, a: np.ndarray) -> np.ndarray:
+        """Vectorized twin of ``core_eval_raw`` (raw words in and out)."""
+        return self._raw_vec(np.asarray(a, dtype=np.int64), False)[0]
+
+    def core_vec(self, u, keys):
+        g = self.geom
+        yfx, zone = self._raw_vec(f2fx_word_vec(u, g.fmt.frac_bits), keys)
+        return (yfx / g.fmt.scale).astype(_F32), zone
+
+
+class LLUTFixed(_FixedLLUT):
+    """Non-interpolated fixed-point L-LUT (s3.28 arithmetic end to end)."""
+
+    method_name = "llut_fx"
+    interpolated = False
 
     def core_eval_raw(self, ctx: CycleCounter, a: int) -> int:
         """Lookup on an s3.28 raw word, returning an s3.28 raw word.
@@ -374,40 +337,20 @@ class LLUTFixed(FuzzyLUT):
         yfx = self.core_eval_raw(ctx, a)
         return ctx.fx2f(yfx, self.geom.fmt.frac_bits)
 
-    def core_eval_raw_vec(self, a: np.ndarray) -> np.ndarray:
-        """Vectorized twin of :meth:`core_eval_raw`."""
+    def _raw_vec(self, a, keys):
         g = self.geom
-        r = np.asarray(a, dtype=np.int64) - g.p_raw
-        if g.shift == 0:
-            idx = r
-        else:
-            idx = (r >> g.shift) + ((r >> (g.shift - 1)) & 1)
-        idx = np.clip(idx, 0, self.entries - 1)
-        return self._table[idx].astype(np.int64)
-
-    def core_eval_vec(self, u):
-        g = self.geom
-        u = np.asarray(u, dtype=_F32)
-        a = np.round(u.astype(np.float64) * g.fmt.scale).astype(np.int64)
-        yfx = self.core_eval_raw_vec(a)
-        return (yfx / g.fmt.scale).astype(_F32)
-
-    def core_path_vec(self, u):
-        g = self.geom
-        a_f = f2fx_exact_vec(u, g.fmt.frac_bits)
-        a, huge_pos, huge_neg = raw_index_clip(a_f)
-        r = a - g.p_raw
-        if g.shift == 0:
-            idx = r
-        else:
-            idx = (r >> g.shift) + ((r >> (g.shift - 1)) & 1)
-        zone = clamp_zone(idx, self.entries - 1)
-        zone = np.where(huge_neg, np.int64(1), zone)
-        zone = np.where(huge_pos, np.int64(2), zone)
-        return zone
+        idx = a - g.p_raw
+        if g.shift:
+            # (r >> shift) + the dropped half bit, as traced, is
+            # ((r >> (shift - 1)) + 1) >> 1 in int64 (no 32-bit carry).
+            idx >>= g.shift - 1
+            idx += 1
+            idx >>= 1
+        idx, zone = clamp_index(idx, self.entries - 1, keys)
+        return self._table[idx].astype(np.int64), zone
 
 
-class LLUTInterpolatedFixed(FuzzyLUT):
+class LLUTInterpolatedFixed(_FixedLLUT):
     """Interpolated fixed-point L-LUT: the one multiply is an integer multiply.
 
     Replacing the softfloat multiply with the (still emulated, but ~3x
@@ -417,27 +360,6 @@ class LLUTInterpolatedFixed(FuzzyLUT):
 
     method_name = "llut_i_fx"
     interpolated = True
-    fixed_point = True
-
-    def __init__(
-        self,
-        spec: FunctionSpec,
-        density_log2: int = 10,
-        interval: Optional[Tuple[float, float]] = None,
-        **kwargs,
-    ):
-        super().__init__(spec, **kwargs)
-        self.geom = _FixedGeometry(spec, density_log2, interval)
-
-    def _build(self) -> None:
-        raw = build_fixed_table(
-            self.spec.reference, self.geom.a_inv,
-            self.geom.entries, self.geom.fmt.frac_bits,
-        )
-        self._table = raw.astype(np.int32)
-
-    def planned_table_bytes(self) -> int:
-        return self.geom.entries * self.ENTRY_BYTES
 
     def core_eval_raw(self, ctx: CycleCounter, a: int) -> int:
         """Interpolated lookup on an s3.28 raw word (fixed in, fixed out)."""
@@ -458,36 +380,14 @@ class LLUTInterpolatedFixed(FuzzyLUT):
         yfx = self.core_eval_raw(ctx, a)
         return ctx.fx2f(yfx, self.geom.fmt.frac_bits)
 
-    def core_eval_raw_vec(self, a: np.ndarray) -> np.ndarray:
-        """Vectorized twin of :meth:`core_eval_raw`.
-
-        The interpolation product goes through :func:`fx_mul_vec` so it
-        wraps at the 32-bit word exactly like the traced ``fx_mul`` —
-        a bare ``>> frac_bits`` would diverge at word-width boundaries.
-        """
+    def _raw_vec(self, a, keys):
+        # The interpolation product goes through fx_mul_vec so it wraps at
+        # the 32-bit word exactly like the traced fx_mul; a bare
+        # ``>> frac_bits`` would diverge at word-width boundaries.
         g = self.geom
-        r = np.asarray(a, dtype=np.int64) - g.p_raw
-        idx = np.clip(r >> g.shift, 0, self.entries - 2)
-        dbits = r & ((1 << g.shift) - 1)
-        delta_fx = dbits << g.n
+        r = a - g.p_raw
+        idx, zone = clamp_index(r >> g.shift, self.entries - 2, keys)
+        delta_fx = (r & ((1 << g.shift) - 1)) << g.n
         l0 = self._table[idx].astype(np.int64)
         l1 = self._table[idx + 1].astype(np.int64)
-        prod = fx_mul_vec(g.fmt, l1 - l0, delta_fx)
-        return l0 + prod
-
-    def core_eval_vec(self, u):
-        g = self.geom
-        u = np.asarray(u, dtype=_F32)
-        a = np.round(u.astype(np.float64) * g.fmt.scale).astype(np.int64)
-        yfx = self.core_eval_raw_vec(a)
-        return (yfx / g.fmt.scale).astype(_F32)
-
-    def core_path_vec(self, u):
-        g = self.geom
-        a_f = f2fx_exact_vec(u, g.fmt.frac_bits)
-        a, huge_pos, huge_neg = raw_index_clip(a_f)
-        idx = (a - g.p_raw) >> g.shift
-        zone = clamp_zone(idx, self.entries - 2)
-        zone = np.where(huge_neg, np.int64(1), zone)
-        zone = np.where(huge_pos, np.int64(2), zone)
-        return zone
+        return l0 + fx_mul_vec(g.fmt, l1 - l0, delta_fx), zone

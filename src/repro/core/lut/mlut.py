@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.batch.keys import clamp_zone, ffloor_index_vec, fround_index_vec
+from repro.batch.keys import clamp_index, ffloor_vec, fround_index
 from repro.core.functions.registry import FunctionSpec
 from repro.core.lut.base import FuzzyLUT, build_table
 from repro.errors import ConfigurationError
@@ -22,11 +22,11 @@ __all__ = ["MLUT", "MLUTInterpolated"]
 _F32 = np.float32
 
 
-class MLUT(FuzzyLUT):
-    """Non-interpolated M-LUT: one multiply per lookup."""
+class _MLUTBase(FuzzyLUT):
+    """Regular grid shared by both M-LUT variants: ``size`` entries span
+    the interval, so the last segment ends exactly at ``hi``."""
 
-    method_name = "mlut"
-    interpolated = False
+    _MIN_SIZE = 2
 
     def __init__(
         self,
@@ -36,8 +36,9 @@ class MLUT(FuzzyLUT):
         **kwargs,
     ):
         super().__init__(spec, **kwargs)
-        if size < 2:
-            raise ConfigurationError("M-LUT size must be at least 2")
+        if size < self._MIN_SIZE:
+            raise ConfigurationError(
+                f"{self.method_name} size must be at least {self._MIN_SIZE}")
         self.size = size
         self.lo, self.hi = interval if interval is not None else spec.natural_range
         if not self.hi > self.lo:
@@ -62,6 +63,18 @@ class MLUT(FuzzyLUT):
     # ------------------------------------------------------------------
     # PIM side
 
+    def _address_vec(self, u):
+        """The table coordinate ``(u - p) * k`` (float32), as traced."""
+        u = np.asarray(u, dtype=_F32)
+        return (u if self.p == 0 else u - self.p) * self.k
+
+
+class MLUT(_MLUTBase):
+    """Non-interpolated M-LUT: one multiply per lookup."""
+
+    method_name = "mlut"
+    interpolated = False
+
     def core_eval(self, ctx, u):
         v = ctx.fsub(u, self.p) if self.p != 0 else u
         v = ctx.fmul(v, self.k)
@@ -69,54 +82,18 @@ class MLUT(FuzzyLUT):
         idx = self._clamp_index(ctx, idx, self.entries - 1)
         return self._load(ctx, self._table, idx)
 
-    def core_eval_vec(self, u):
-        u = np.asarray(u, dtype=_F32)
-        v = u if self.p == 0 else (u - self.p).astype(_F32)
-        v = (v * self.k).astype(_F32)
-        idx = np.floor(v.astype(np.float64) + 0.5).astype(np.int64)
-        idx = np.clip(idx, 0, self.entries - 1)
-        return self._table[idx]
-
-    def core_path_vec(self, u):
-        u = np.asarray(u, dtype=_F32)
-        v = u if self.p == 0 else (u - self.p).astype(_F32)
-        v = (v * self.k).astype(_F32)
-        return clamp_zone(fround_index_vec(v), self.entries - 1)
+    def core_vec(self, u, keys):
+        idx, zone = fround_index(self._address_vec(u), self.entries - 1, keys)
+        return self._table[idx], zone
 
 
-class MLUTInterpolated(FuzzyLUT):
+class MLUTInterpolated(_MLUTBase):
     """Interpolated M-LUT: two multiplies per lookup (address + interpolation)."""
 
     method_name = "mlut_i"
     interpolated = True
-
-    def __init__(
-        self,
-        spec: FunctionSpec,
-        size: int = 1024,
-        interval: Optional[Tuple[float, float]] = None,
-        **kwargs,
-    ):
-        super().__init__(spec, **kwargs)
-        if size < 3:
-            raise ConfigurationError("interpolated M-LUT size must be at least 3")
-        self.size = size
-        self.lo, self.hi = interval if interval is not None else spec.natural_range
-        if not self.hi > self.lo:
-            raise ConfigurationError("M-LUT interval must be non-degenerate")
-        # size entries span the interval; the last interpolation segment ends
-        # exactly at hi, so the floor address ranges over [0, size-2].
-        self.k = _F32((size - 1) / (self.hi - self.lo))
-        self.p = _F32(self.lo)
-
-    def _a_inv(self, i: np.ndarray) -> np.ndarray:
-        return float(self.p) + np.asarray(i, dtype=np.float64) / float(self.k)
-
-    def _build(self) -> None:
-        self._table = build_table(self.spec.reference, self._a_inv, self.size)
-
-    def planned_table_bytes(self) -> int:
-        return self.size * self.ENTRY_BYTES
+    #: The floor address ranges over [0, size-2].
+    _MIN_SIZE = 3
 
     def core_eval(self, ctx, u):
         v = ctx.fsub(u, self.p) if self.p != 0 else u
@@ -131,18 +108,8 @@ class MLUTInterpolated(FuzzyLUT):
         prod = ctx.fmul(diff, delta)
         return ctx.fadd(l0, prod)
 
-    def core_eval_vec(self, u):
-        u = np.asarray(u, dtype=_F32)
-        v = u if self.p == 0 else (u - self.p).astype(_F32)
-        v = (v * self.k).astype(_F32)
-        idx = np.clip(np.floor(v).astype(np.int64), 0, self.entries - 2)
-        delta = (v - idx.astype(_F32)).astype(_F32)
-        l0 = self._table[idx]
-        l1 = self._table[idx + 1]
-        return (l0 + ((l1 - l0).astype(_F32) * delta).astype(_F32)).astype(_F32)
-
-    def core_path_vec(self, u):
-        u = np.asarray(u, dtype=_F32)
-        v = u if self.p == 0 else (u - self.p).astype(_F32)
-        v = (v * self.k).astype(_F32)
-        return clamp_zone(ffloor_index_vec(v), self.entries - 2)
+    def core_vec(self, u, keys):
+        v = self._address_vec(u)
+        idx, zone = clamp_index(ffloor_vec(v), self.entries - 2, keys)
+        # The weight is taken against the clamped index, as traced.
+        return self._interpolate_vec(idx, v - idx.astype(_F32)), zone

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.batch.keys import clamp_zone, pack_fields
+from repro.batch.keys import clamp_index, pack_fields
 from repro.core.functions.registry import FunctionSpec
 from repro.core.ldexp import ldexpf_vec
 from repro.core.lut.base import FuzzyLUT
@@ -190,57 +190,27 @@ class SegmentedLLUT(FuzzyLUT):
         return ctx.fadd(l0, prod)
 
     # ------------------------------------------------------------------
-    # vectorized twin
+    # array pass
 
-    def core_eval_vec(self, u):
+    def core_vec(self, u, keys):
         u = np.asarray(u, dtype=_F32)
-        t = (u + self._seg_magic).astype(_F32)
-        seg = (t.view(np.int32).astype(np.int64)) & _MASK22
-        grid1 = (t - self._seg_magic).astype(_F32)
-        seg = seg - (u < grid1)
-        seg = np.clip(seg, 0, self.n_segments - 1)
-        offset = self._offsets[seg]
+        t = u + self._seg_magic
+        seg = t.view(np.int32).astype(np.int64) & _MASK22
+        seg_fix = u < (t - self._seg_magic)   # fcmp < 0: NaN takes no fix
+        seg, seg_zone = clamp_index(seg - seg_fix, self.n_segments - 1, keys)
         count = self._counts[seg]
         magic = self._magics[seg]
-        n_k = self._densities[seg]
 
-        t2 = (u + magic).astype(_F32)
-        idx = (t2.view(np.int32).astype(np.int64)) & _MASK22
-        grid = (t2 - magic).astype(_F32)
-        d = (u - grid).astype(_F32)
-        delta = ldexpf_vec(d, n_k.astype(np.int32))
+        t2 = u + magic
+        idx = t2.view(np.int32).astype(np.int64) & _MASK22
+        delta = ldexpf_vec(u - (t2 - magic),
+                           self._densities[seg].astype(np.int32))
         neg = delta < 0
         idx = idx - neg
-        delta = np.where(neg, (delta + _F32(1.0)).astype(_F32), delta)
-        idx = np.clip(idx, 0, count - 2)
-        base = offset + idx
-        l0 = self._table[base]
-        l1 = self._table[base + 1]
-        return (l0 + ((l1 - l0).astype(_F32) * delta).astype(_F32)).astype(_F32)
-
-    def core_path_vec(self, u):
-        # The second level's op sequence is segment-independent, so only the
-        # branch bits and clamp zones matter — not the segment identity.
-        u = np.asarray(u, dtype=_F32)
-        t = (u + self._seg_magic).astype(_F32)
-        seg = (t.view(np.int32).astype(np.int64)) & _MASK22
-        grid1 = (t - self._seg_magic).astype(_F32)
-        seg_fix = u < grid1            # fcmp < 0: NaN takes no fix
-        seg = seg - seg_fix
-        seg_zone = clamp_zone(seg, self.n_segments - 1)
-        seg_c = np.clip(seg, 0, self.n_segments - 1)
-        count = self._counts[seg_c]
-        magic = self._magics[seg_c]
-        n_k = self._densities[seg_c]
-
-        t2 = (u + magic).astype(_F32)
-        idx = (t2.view(np.int32).astype(np.int64)) & _MASK22
-        grid = (t2 - magic).astype(_F32)
-        d = (u - grid).astype(_F32)
-        delta = ldexpf_vec(d, n_k.astype(np.int32))
-        neg = delta < 0
-        idx = idx - neg
-        idx_zone = clamp_zone(idx, count - 2)
-        return pack_fields([
-            (seg_fix, 1), (seg_zone, 2), (neg, 1), (idx_zone, 2),
-        ])
+        delta = np.where(neg, delta + _F32(1.0), delta)
+        idx, idx_zone = clamp_index(idx, count - 2, keys)
+        # The second level's op sequence is segment-independent, so only
+        # the branch bits and clamp zones key the path, not the segment.
+        key = pack_fields([(seg_fix, 1), (seg_zone, 2), (neg, 1),
+                           (idx_zone, 2)]) if keys else None
+        return self._interpolate_vec(self._offsets[seg] + idx, delta), key

@@ -75,17 +75,11 @@ class TanQuotientLUT(FuzzyLUT):
         c = self.cos_m.core_eval(ctx, u)
         return ctx.fdiv(s, c)
 
-    def core_eval_vec(self, u):
-        s = self.sin_m.core_eval_vec(u)
-        c = self.cos_m.core_eval_vec(u)
-        return (np.asarray(s, dtype=_F32) / np.asarray(c, dtype=_F32)).astype(_F32)
-
-    def core_path_vec(self, u):
-        s_key = self.sin_m.core_path_vec(u)
-        c_key = self.cos_m.core_path_vec(u)
-        if s_key is None or c_key is None:
-            return None
-        return pack_fields([(s_key, 12), (c_key, 12)])
+    def core_vec(self, u, keys):
+        s, s_key = self.sin_m.core_vec(u, keys)
+        c, c_key = self.cos_m.core_vec(u, keys)
+        key = pack_fields([(s_key, 12), (c_key, 12)]) if keys else None
+        return (s / c).astype(_F32), key
 
 
 def make_tan_lut(inner_cls: Type[FuzzyLUT], **params) -> TanQuotientLUT:

@@ -11,15 +11,18 @@ paper (Figure 1(c)):
   every arithmetic step charges instruction costs through a
   :class:`~repro.isa.CycleCounter`.
 
-:meth:`evaluate_vec` is the vectorized accuracy twin — bit-identical float32
-semantics over numpy arrays, used for bulk RMSE sweeps over 2^16 inputs.
-Tests assert scalar and vectorized paths agree.
+:meth:`array_pass` is the one array form of :meth:`evaluate`: one range
+reduction and one address generation over a numpy array, returning the
+bit-identical float32 values and, on request, each element's cost-path key.
+:meth:`evaluate_vec` (values, e.g. bulk RMSE sweeps over 2^16 inputs) and
+:meth:`classify_paths` (keys, for ``repro.batch``) are its two views, so
+they cannot disagree.  Tests hold both to the scalar trace.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, List, Optional
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,8 +139,17 @@ class Method(ABC):
         """Traced evaluation for an input already inside the natural range."""
 
     @abstractmethod
-    def core_eval_vec(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized twin of :meth:`core_eval`."""
+    def core_vec(self, u: np.ndarray, keys: bool
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Array pass of :meth:`core_eval`: (values, core path keys).
+
+        With ``keys``, two elements share a key exactly when the traced
+        ``core_eval`` takes the same branches for both — and therefore
+        charges the same instruction tally.  Keys are non-negative int64
+        below ``2**CORE_KEY_BITS``; a ``None`` key means the method
+        abstains on this array and ``repro.batch`` traces it in the scalar
+        loop.  Without ``keys`` the key is ``None``.
+        """
 
     def evaluate(self, ctx: CycleCounter, x: float) -> np.float32:
         """Traced evaluation of one element, including range handling."""
@@ -146,12 +158,29 @@ class Method(ABC):
         y = self.core_eval(ctx, u)
         return self.reducer.reconstruct(ctx, y, state)
 
+    def array_pass(self, x: np.ndarray, keys: bool = False
+                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One array pass of :meth:`evaluate`: (values, path keys or None).
+
+        The reducer's pass and :meth:`core_vec` share one range reduction
+        and one address generation.  With ``keys``, each key packs the
+        reducer key above ``CORE_KEY_BITS`` and the core key below it; it
+        is ``None`` when either layer abstains.  Keys are opaque: equal key
+        means bit-identical instruction tally (enforced by the differential
+        harness in ``tests/batch/``).
+        """
+        self._require_ready()
+        u, state, rkey = self.reducer.reduce_vec(
+            np.asarray(x, dtype=_F32), keys)
+        y, ckey = self.core_vec(u, keys)
+        values = self.reducer.reconstruct_vec(y, state)
+        if rkey is None or ckey is None:
+            return values, None
+        return values, (rkey << self.CORE_KEY_BITS) | ckey
+
     def evaluate_vec(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation of an array, including range handling."""
-        self._require_ready()
-        u, state = self.reducer.reduce_vec(np.asarray(x, dtype=_F32))
-        y = self.core_eval_vec(u)
-        return self.reducer.reconstruct_vec(y, state)
+        return self.array_pass(x)[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Convenience: set up on first use, then evaluate vectorized."""
@@ -166,37 +195,9 @@ class Method(ABC):
     #: packed above it.
     CORE_KEY_BITS: ClassVar[int] = 48
 
-    def core_path_vec(self, u: np.ndarray) -> Optional[np.ndarray]:
-        """Cost-path key of :meth:`core_eval` for each (reduced) element.
-
-        Two elements share a key exactly when the traced ``core_eval`` takes
-        the same branches for both — and therefore charges the same
-        instruction tally.  Keys are non-negative int64 below
-        ``2**CORE_KEY_BITS``.  ``None`` (the default) means the method does
-        not classify and ``repro.batch`` falls back to scalar tracing.
-        """
-        return None
-
     def classify_paths(self, x: np.ndarray) -> Optional[np.ndarray]:
-        """Cost-path key of :meth:`evaluate` (reducer + core) per element.
-
-        Combines the reducer's :meth:`~repro.core.range_reduction.Reducer.path_key_vec`
-        with :meth:`core_path_vec` on the reduced inputs.  Returns ``None``
-        when either layer cannot classify.  Keys are opaque: equal key means
-        bit-identical instruction tally (enforced by the differential harness
-        in ``tests/batch/``).
-        """
-        self._require_ready()
-        x = np.asarray(x, dtype=_F32)
-        rkey = self.reducer.path_key_vec(x)
-        if rkey is None:
-            return None
-        u, _ = self.reducer.reduce_vec(x)
-        ckey = self.core_path_vec(u)
-        if ckey is None:
-            return None
-        return (np.asarray(rkey, dtype=np.int64) << self.CORE_KEY_BITS) | \
-            np.asarray(ckey, dtype=np.int64)
+        """Cost-path key of :meth:`evaluate` per element (``None``: abstain)."""
+        return self.array_pass(x, keys=True)[1]
 
     def cost_paths(self, xs: np.ndarray) -> Optional[List["CostPath"]]:
         """Enumerate the distinct cost paths present in ``xs``.

@@ -90,11 +90,9 @@ class MinimaxPolyMethod(Method):
         t = ctx.fmul(t, self._inv_half)
         return horner(ctx, self._coeffs, t)
 
-    def core_eval_vec(self, u):
+    def core_vec(self, u, keys):
+        # Horner evaluation is branch-free: constant cost, one path.
         u = np.asarray(u, dtype=_F32)
-        t = ((u - self._center).astype(_F32) * self._inv_half).astype(_F32)
-        return horner_vec(self._coeffs, t)
-
-    def core_path_vec(self, u):
-        # Horner evaluation is branch-free: constant cost.
-        return np.zeros(np.asarray(u).shape, dtype=np.int64)
+        t = (u - self._center) * self._inv_half
+        return (horner_vec(self._coeffs, t),
+                np.zeros(u.shape, dtype=np.int64) if keys else None)

@@ -13,8 +13,8 @@ function has an identity that folds an arbitrary input into the method's
 
 Every reducer exists in two bit-identical forms: a *traced* scalar form that
 charges PIM instruction costs through a :class:`~repro.isa.CycleCounter`
-(this is what Figure 8 measures), and a vectorized float32 numpy form used
-for bulk accuracy sweeps.
+(this is what Figure 8 measures), and a float32 numpy array pass used for
+bulk evaluation, which also names each element's cost path on request.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.batch.keys import finite_vec
 from repro.core.functions.registry import FunctionSpec
 from repro.core.ldexp import frexpf_vec, ldexpf_vec
 from repro.errors import ConfigurationError
@@ -63,25 +64,28 @@ class Reducer(ABC):
         """Traced inverse transform applied to the core function's output."""
 
     @abstractmethod
-    def reduce_vec(self, x: np.ndarray) -> Tuple[np.ndarray, object]:
-        """Vectorized twin of :meth:`reduce`."""
+    def reduce_vec(self, x: np.ndarray, keys: bool = False
+                   ) -> Tuple[np.ndarray, object, Optional[np.ndarray]]:
+        """Array pass of :meth:`reduce`: (reduced input, state, path key).
+
+        With ``keys``, the key is the cost path of reduce+reconstruct for
+        each element: two inputs share a key exactly when the traced
+        :meth:`reduce` and :meth:`reconstruct` take the same branches for
+        both, so their instruction tallies are identical (see
+        ``repro.batch``).  Keys mirror the *scalar* branch semantics: a
+        traced ``fcmp(a, b) >= 0`` is ``~(a < b)`` here, so NaN inputs
+        classify with the branch the scalar trace actually takes.  Without
+        ``keys`` the key is ``None``.
+        """
 
     @abstractmethod
     def reconstruct_vec(self, y: np.ndarray, state: object) -> np.ndarray:
         """Vectorized twin of :meth:`reconstruct`."""
 
-    def path_key_vec(self, x: np.ndarray) -> Optional[np.ndarray]:
-        """Cost-path key of reduce+reconstruct for each element, or ``None``.
 
-        Two inputs share a key exactly when the traced :meth:`reduce` and
-        :meth:`reconstruct` take the same branches for both, so their
-        instruction tallies are identical (see ``repro.batch``).  Keys mirror
-        the *scalar* branch semantics: a traced ``fcmp(a, b) >= 0`` is
-        ``~(a < b)`` here, so NaN inputs classify with the branch the scalar
-        trace actually takes.  ``None`` means this reducer cannot classify
-        and callers must fall back to element-by-element tracing.
-        """
-        return None
+def _single_path(x: np.ndarray, keys: bool) -> Optional[np.ndarray]:
+    """The key of a branch-free reduction: every element on path 0."""
+    return np.zeros(np.shape(x), dtype=np.int64) if keys else None
 
 
 class IdentityReducer(Reducer):
@@ -99,14 +103,11 @@ class IdentityReducer(Reducer):
     def reconstruct(self, ctx, y, state):
         return _F32(y)
 
-    def reduce_vec(self, x):
-        return np.asarray(x, dtype=_F32), None
+    def reduce_vec(self, x, keys=False):
+        return np.asarray(x, dtype=_F32), None, _single_path(x, keys)
 
     def reconstruct_vec(self, y, state):
         return np.asarray(y, dtype=_F32)
-
-    def path_key_vec(self, x):
-        return np.zeros(np.asarray(x).shape, dtype=np.int64)
 
 
 class PeriodicReducer(Reducer):
@@ -142,31 +143,22 @@ class PeriodicReducer(Reducer):
     def reconstruct(self, ctx, y, state):
         return _F32(y)
 
-    def reduce_vec(self, x):
+    def reduce_vec(self, x, keys=False):
+        # Replicates the scalar trace: ffloor maps non-finite to 0 (so +-inf
+        # and NaN pass the fold unchanged), and the second clamp uses
+        # fcmp(u, period) >= 0, which is true for NaN.
         x = np.asarray(x, dtype=_F32)
-        q = _F32(1) * x * self.inv_period
-        k = np.floor(q.astype(_F32)).astype(_F32)
-        whole = (k * self.period).astype(_F32)
-        u = (x - whole).astype(_F32)
-        u = np.where(u < 0, (u + self.period).astype(_F32), u)
-        u = np.where(u >= self.period, (u - self.period).astype(_F32), u)
-        return u.astype(_F32), None
+        k = finite_vec(np.floor(x * self.inv_period))
+        u = x - k * self.period
+        below = u < 0
+        u = np.where(below, u + self.period, u)
+        above = ~(u < self.period)
+        u = np.where(above, u - self.period, u)
+        key = (below.astype(np.int64) << 1) | above if keys else None
+        return u, None, key
 
     def reconstruct_vec(self, y, state):
         return np.asarray(y, dtype=_F32)
-
-    def path_key_vec(self, x):
-        # Replicates the scalar trace: ffloor maps non-finite to 0, and the
-        # second clamp uses fcmp(u, period) >= 0, which is True for NaN.
-        x = np.asarray(x, dtype=_F32)
-        q64 = (x * self.inv_period).astype(_F32).astype(np.float64)
-        kf = np.where(np.isfinite(q64), np.floor(q64), 0.0)
-        whole = (kf.astype(_F32) * self.period).astype(_F32)
-        u = (x - whole).astype(_F32)
-        below = u < 0
-        u = np.where(below, (u + self.period).astype(_F32), u)
-        above = ~(u < self.period)
-        return (below.astype(np.int64) << 1) | above.astype(np.int64)
 
 
 class ExpSplitReducer(Reducer):
@@ -192,40 +184,23 @@ class ExpSplitReducer(Reducer):
     def reconstruct(self, ctx, y, state):
         return ctx.ldexp(y, int(state))
 
-    def reduce_vec(self, x):
-        kf, f, below = self._split_vec(x)
-        # ldexp by |k| >= 1024 already saturates every float32 (to inf or
-        # a signed zero), so clipping keeps huge and non-finite lanes exact
-        # through the int32 cast.
+    def reduce_vec(self, x, keys=False):
+        # Bit for bit on every input: the floor is guarded the way the
+        # traced ffloor is (non-finite -> 0), and ``+ 0`` turns floor(-0.0)
+        # into the int 0 ffloor returns, so f keeps the sign of a zero
+        # input.  ldexp by |k| >= 1024 already saturates every float32 (to
+        # inf or a signed zero), so clipping keeps huge and non-finite lanes
+        # exact through the int32 cast.
+        x = np.asarray(x, dtype=_F32)
+        kf = finite_vec(np.floor(x * self._INV_LN2)) + _F32(0.0)
+        f = x - kf * self._LN2_F
+        below = f < 0
+        f = np.where(below, f + self._LN2_F, f)
         k = np.clip(kf - below, -1024, 1024).astype(np.int32)
-        return f, k
+        return f, k, (below.astype(np.int64) if keys else None)
 
     def reconstruct_vec(self, y, state):
         return ldexpf_vec(np.asarray(y, dtype=_F32), state)
-
-    def residual_vec(self, x):
-        """Scalar-faithful ``(f, below)`` of :meth:`reduce` over an array."""
-        _, f, below = self._split_vec(x)
-        return f, below
-
-    def _split_vec(self, x):
-        """``(floor, f, below)`` of :meth:`reduce`, bit for bit on every
-        input: the float64 floor is guarded the way the traced ``ffloor``
-        is (non-finite -> 0), and ``+ 0.0`` turns ``floor(-0.0)`` into the
-        int 0 ``ffloor`` returns, so ``f`` keeps the sign of a zero input.
-        """
-        x = np.asarray(x, dtype=_F32)
-        q64 = (x * self._INV_LN2).astype(_F32).astype(np.float64)
-        kf = np.where(np.isfinite(q64), np.floor(q64), 0.0) + 0.0
-        whole = (kf.astype(_F32) * self._LN2_F).astype(_F32)
-        f = (x - whole).astype(_F32)
-        below = f < 0
-        f = np.where(below, (f + self._LN2_F).astype(_F32), f).astype(_F32)
-        return kf, f, below
-
-    def path_key_vec(self, x):
-        _, below = self.residual_vec(x)
-        return below.astype(np.int64)
 
 
 class LogSplitReducer(Reducer):
@@ -255,18 +230,15 @@ class LogSplitReducer(Reducer):
         scaled = ef if self._unit else ctx.fmul(ef, self.log_b_2)
         return ctx.fadd(y, scaled)
 
-    def reduce_vec(self, x):
+    def reduce_vec(self, x, keys=False):
+        # frexp/ldexp/i2f/fmul/fadd: constant cost, a single path.
         m, e = frexpf_vec(np.asarray(x, dtype=_F32))
-        return ldexpf_vec(m, 1), e - 1
+        return ldexpf_vec(m, 1), e - 1, _single_path(m, keys)
 
     def reconstruct_vec(self, y, state):
         ef = state.astype(_F32)
         scaled = ef if self._unit else (ef * self.log_b_2).astype(_F32)
         return (np.asarray(y, dtype=_F32) + scaled).astype(_F32)
-
-    def path_key_vec(self, x):
-        # frexp/ldexp/i2f/fmul/fadd: constant cost, a single path.
-        return np.zeros(np.asarray(x).shape, dtype=np.int64)
 
 
 class SqrtSplitReducer(Reducer):
@@ -295,20 +267,17 @@ class SqrtSplitReducer(Reducer):
     def reconstruct(self, ctx, y, state):
         return ctx.ldexp(y, int(state))
 
-    def reduce_vec(self, x):
+    def reduce_vec(self, x, keys=False):
+        # The odd-exponent arm pays one extra ldexp.
         m, e = frexpf_vec(np.asarray(x, dtype=_F32))
         odd = (e & 1) == 1
         m_adj = np.where(odd, ldexpf_vec(m, 1), m)
         half_e = np.where(odd, (e - 1) >> 1, e >> 1)
-        return m_adj.astype(_F32), half_e.astype(np.int32)
+        return (m_adj.astype(_F32), half_e.astype(np.int32),
+                odd.astype(np.int64) if keys else None)
 
     def reconstruct_vec(self, y, state):
         return ldexpf_vec(np.asarray(y, dtype=_F32), state)
-
-    def path_key_vec(self, x):
-        # The odd-exponent arm pays one extra ldexp.
-        _, e = frexpf_vec(np.asarray(x, dtype=_F32))
-        return (np.asarray(e, dtype=np.int64) & 1)
 
 
 class OddSymmetricReducer(Reducer):
@@ -354,13 +323,14 @@ class OddSymmetricReducer(Reducer):
         # gelu: f(x) = f(|x|) + x for x < 0
         return ctx.fadd(y, original)
 
-    def reduce_vec(self, x):
+    def reduce_vec(self, x, keys=False):
+        # Negative inputs pay the fabs and the symmetry reconstruction.
         x = np.asarray(x, dtype=_F32)
         negative = x < 0
         # where(negative, -x, x), not abs: the scalar path keeps -0.0 as is
         # (fcmp(-0.0, 0) compares equal, so the fabs arm never runs).
-        u = np.where(negative, (-x).astype(_F32), x).astype(_F32)
-        return u, (negative, x)
+        u = np.where(negative, -x, x)
+        return u, (negative, x), (negative.astype(np.int64) if keys else None)
 
     def reconstruct_vec(self, y, state):
         negative, original = state
@@ -376,11 +346,6 @@ class OddSymmetricReducer(Reducer):
         else:  # gelu
             flipped = (y + original).astype(_F32)
         return np.where(negative, flipped, y).astype(_F32)
-
-    def path_key_vec(self, x):
-        # Negative inputs pay the fabs and the symmetry reconstruction.
-        x = np.asarray(x, dtype=_F32)
-        return (x < 0).astype(np.int64)
 
 
 class RsqrtSplitReducer(SqrtSplitReducer):
@@ -430,27 +395,22 @@ class AtanRecipReducer(Reducer):
             y = ctx.fneg(y)
         return _F32(y)
 
-    def reduce_vec(self, x):
+    def reduce_vec(self, x, keys=False):
         x = np.asarray(x, dtype=_F32)
         negative = x < 0
         # Sign-faithful fold (see OddSymmetricReducer.reduce_vec on -0.0).
-        u = np.where(negative, (-x).astype(_F32), x).astype(_F32)
+        u = np.where(negative, -x, x)
         inverted = u > _F32(1.0)
-        inv = (_F32(1.0) / np.where(u == 0, _F32(1.0), u)).astype(_F32)
-        u = np.where(inverted, inv, u).astype(_F32)
-        return u, (negative, inverted)
+        inv = _F32(1.0) / np.where(u == 0, _F32(1.0), u)
+        u = np.where(inverted, inv, u)
+        key = (negative.astype(np.int64) << 1) | inverted if keys else None
+        return u, (negative, inverted), key
 
     def reconstruct_vec(self, y, state):
         negative, inverted = state
         y = np.asarray(y, dtype=_F32)
         y = np.where(inverted, (self._HALF_PI - y).astype(_F32), y)
         return np.where(negative, (-y).astype(_F32), y).astype(_F32)
-
-    def path_key_vec(self, x):
-        x = np.asarray(x, dtype=_F32)
-        negative = x < 0
-        inverted = np.abs(x).astype(_F32) > _F32(1.0)
-        return (negative.astype(np.int64) << 1) | inverted.astype(np.int64)
 
 
 class EluReflectReducer(Reducer):
@@ -475,21 +435,17 @@ class EluReflectReducer(Reducer):
         negative, original = state
         return _F32(y) if negative else original
 
-    def reduce_vec(self, x):
+    def reduce_vec(self, x, keys=False):
+        # Both arms charge the same ops; split anyway (over-splitting is safe).
         x = np.asarray(x, dtype=_F32)
         negative = x < 0
-        u = np.where(negative, x, _F32(0.0)).astype(_F32)
-        return u, (negative, x)
+        u = np.where(negative, x, _F32(0.0))
+        return u, (negative, x), (negative.astype(np.int64) if keys else None)
 
     def reconstruct_vec(self, y, state):
         negative, original = state
         return np.where(negative, np.asarray(y, dtype=_F32),
                         original).astype(_F32)
-
-    def path_key_vec(self, x):
-        # Both arms charge the same ops; split anyway (over-splitting is safe).
-        x = np.asarray(x, dtype=_F32)
-        return (x < 0).astype(np.int64)
 
 
 _SYMMETRY_KIND = {

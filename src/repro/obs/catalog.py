@@ -26,11 +26,11 @@ COUNTERS: Dict[str, str] = {
     "batch.scalar_fallbacks": "inputs that fell back to the scalar loop",
     "batch.tally_cache.hits": "path tallies served from a plan's cache",
     "batch.tally_cache.misses": "path tallies traced and cached",
-    # array-compiled fused evaluators
-    "batch.vec.compiles": "fused array evaluators compiled",
-    "batch.vec.runs": "fused evaluations served (values + aggregate)",
-    "batch.vec.memo.hits": "fused (values, keys, unique) memo hits",
-    "batch.vec.memo.misses": "fused array passes computed and memoized",
+    # launch evaluators (memoized keyed array passes)
+    "batch.vec.compiles": "launch evaluators built",
+    "batch.vec.runs": "launch evaluations served (values + aggregate)",
+    "batch.vec.memo.hits": "launch (values, keys, unique) memo hits",
+    "batch.vec.memo.misses": "keyed array passes computed and memoized",
     "batch.vec.fallbacks": "launches the evaluator abstained on (scalar)",
     # per-core simulation
     "dpu.kernel_runs": "DPU.run_kernel invocations",

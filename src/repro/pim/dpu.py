@@ -137,7 +137,7 @@ class DPU:
         sample preserves the input distribution.
 
         When ``kernel`` is a :class:`~repro.core.method.Method`'s
-        ``evaluate``, one fused array pass
+        ``evaluate``, one keyed array pass of the method
         (:class:`~repro.batch.vec.VecEvaluator`: ``evaluator`` when given,
         a throwaway one otherwise) produces the sample outputs and the cost
         aggregate with one scalar trace per distinct cost path —

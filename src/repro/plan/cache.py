@@ -12,7 +12,7 @@ Two tiers, because tables are placement-independent but launches are not:
 
 * the **method pool** keys off the placement-*excluded* signature and holds
   one :class:`~repro.plan.plan.TableImage` per table — the built Method
-  plus everything derived from it once: the fused array evaluator, one
+  plus everything derived from it once: the launch evaluator, one
   path-tally dict per placement, and the ``memo`` of derived data such as
   the sweep's RMSE evaluation.  A WRAM plan and an MRAM plan of the same
   geometry share tables and evaluator without rebuilding, and every plan

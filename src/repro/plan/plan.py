@@ -8,8 +8,8 @@ is compiled once per (kernel, system configuration) and captures everything
 
 * the table image and placement (the bound :class:`~repro.core.method.Method`
   after :meth:`~repro.core.method.Method.setup`),
-* the :class:`TableImage` around that method: its compiled fused array
-  evaluator plus a **path-tally cache** per placement that amortizes
+* the :class:`TableImage` around that method: its launch evaluator (the
+  method's keyed array pass, memoized) plus a **path-tally cache** per placement that amortizes
   scalar tracing across launches (equal path key means bit-identical
   tally, the invariant the differential harness in ``tests/batch/``
   enforces — so a cached tally is exact, not approximate),
@@ -109,7 +109,7 @@ class TableImage:
     A :class:`~repro.plan.cache.PlanCache` pools one image per table
     signature and hands it to every plan it compiles over that table —
     any placement, tasklet count or system — so each derived fact has
-    exactly one cache: the fused array evaluator (its memoized passes are
+    exactly one cache: the launch evaluator (its memoized passes are
     placement-independent), the path tallies per placement (traced load
     costs depend on the placement and nothing else), and ``memo`` for
     caller-owned derived data such as the sweep's accuracy pass.  Ad-hoc
@@ -402,8 +402,6 @@ class ExecutionPlan:
              f"out {sched.bytes_out_per_element} B/elem, "
              f"{'balanced' if sched.balanced else 'serialized'}"
              if sched.include_transfers else "none (operands resident)"),
-            ("vec evaluator", "none (raw kernel)" if m is None
-             else self.image.evaluator.mode),
             ("cached cost paths", len(self.tally_cache)),
             ("executions", self.executions),
         ]

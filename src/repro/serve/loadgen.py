@@ -62,7 +62,7 @@ class TrafficProfile:
 
 
 #: Mixed-kernel profile spanning the implementation families: interpolated
-#: and fixed-point L-LUTs, the fused direct-LUT kernels, CORDIC rotation,
+#: and fixed-point L-LUTs, both direct-LUT variants, CORDIC rotation,
 #: and the spline table — the serving analogue of the differential suite's
 #: FAST_PAIRS.
 MIXED_PROFILE = TrafficProfile(name="mixed", items=(

@@ -96,7 +96,7 @@ def poly_exp(ctx: CycleCounter, x) -> np.float32:
 
 def poly_exp_vec(x: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`poly_exp`."""
-    f, k = _exp_reducer.reduce_vec(np.asarray(x, dtype=_F32))
+    f, k, _ = _exp_reducer.reduce_vec(np.asarray(x, dtype=_F32))
     ef = _horner_vec(_EXP_COEFFS, f)
     return _exp_reducer.reconstruct_vec(ef, k)
 
@@ -120,7 +120,7 @@ def poly_log(ctx: CycleCounter, x) -> np.float32:
 
 def poly_log_vec(x: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`poly_log`."""
-    m, e = _log_reducer.reduce_vec(np.asarray(x, dtype=_F32))
+    m, e, _ = _log_reducer.reduce_vec(np.asarray(x, dtype=_F32))
     num = (m - _F32(1.0)).astype(_F32)
     den = (m + _F32(1.0)).astype(_F32)
     t = (num / den).astype(_F32)
@@ -151,7 +151,7 @@ def poly_sqrt(ctx: CycleCounter, x) -> np.float32:
 
 def poly_sqrt_vec(x: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`poly_sqrt`."""
-    m, e = _sqrt_reducer.reduce_vec(np.asarray(x, dtype=_F32))
+    m, e, _ = _sqrt_reducer.reduce_vec(np.asarray(x, dtype=_F32))
     y = ((m * _F32(0.4173075996388651)).astype(_F32)
          + _F32(0.5900984548320208)).astype(_F32)
     for _ in range(_SQRT_NEWTON_ITERS):

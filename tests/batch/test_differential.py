@@ -175,6 +175,22 @@ def test_scalar_fallback_for_unclassifiable_kernels():
     np.testing.assert_array_equal(forced.slots, auto.slots)
 
 
+def test_nonfinite_lanes_key_by_their_traced_branches():
+    """Equal key must mean equal tally on non-finite lanes too.
+
+    The traced periodic fold maps a non-finite quotient's floor to 0, so
+    +inf stays +inf and takes the L-LUT's high guard, while -NaN takes the
+    low one: the two lanes must key apart.
+    """
+    xs = np.array([-np.nan, np.inf, np.nan, -np.inf, 1.0], dtype=_F32)
+    for name in ("llut", "llut_i"):
+        m = make_method("sin", name, assume_in_range=False).setup()
+        b, s = batch_tally(m, xs), scalar_tally(m, xs)
+        assert b.batched
+        assert b.tally.counts == s.tally.counts, name
+        np.testing.assert_array_equal(b.slots, s.slots)
+
+
 def test_empty_batch_is_empty_result():
     """An empty input is a valid boundary split: zero cost, no paths."""
     m = make_method("sin", "llut_i", density_log2=8).setup()

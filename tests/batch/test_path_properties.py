@@ -17,12 +17,14 @@ hypothesis can probe far more widely than the fixed differential matrix:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import make_method
 from repro.batch import batch_tally, scalar_tally
+from repro.batch.keys import f2fx_word_vec, ffloor_vec, fround_index
 from repro.core.functions.registry import get_function
+from repro.isa.counter import CycleCounter
 
 _F32 = np.float32
 
@@ -133,6 +135,27 @@ def test_single_element_batch_equals_element_tally(x):
     assert res.tally.slots == expected.slots
     assert res.tally.counts == expected.counts
     assert res.slots[0] == expected.slots
+
+
+@settings(max_examples=100, deadline=None)
+@given(vals=st.lists(st.floats(width=32, allow_nan=True,
+                               allow_infinity=True), min_size=1,
+                     max_size=16))
+@example(vals=[-0.5, -1.5, 0.49999997, 4095.5, 1e30, -3.4e38, float("nan")])
+def test_index_helpers_match_traced_conversions(vals):
+    """``fround_index``/``ffloor_vec``/``f2fx_word_vec`` are the traced
+    ``fround`` + ``_clamp_index``, ``ffloor`` and ``f2fx`` (raw words
+    clipped at +-2^53) on every float32, -0.5's "below" zone included."""
+    xs = np.array(vals, dtype=_F32)
+    ctx = CycleCounter()
+    hi = 4095
+    idx, zone = fround_index(xs, hi, keys=True)
+    for x, i, z in zip(xs, idx, zone):
+        r = ctx.fround(x)
+        assert (i, z) == ((0, 1) if r < 0 else (hi, 2) if r > hi else (r, 0))
+    assert list(ffloor_vec(xs)) == [ctx.ffloor(x) for x in xs]
+    words = [min(max(ctx.f2fx(x, 28), -2**53), 2**53) for x in xs]
+    assert list(f2fx_word_vec(xs, 28)) == words
 
 
 class TestEmptyBatch:

@@ -1,17 +1,17 @@
-"""Differential harness: the fused array evaluators vs the unfused paths.
+"""Differential harness: the launch evaluator vs the traced engine.
 
-:mod:`repro.batch.vec` promises that one fused structure-of-arrays pass is
+:mod:`repro.batch.vec` promises that one memoized, keyed array pass is
 bit-identical to ``Method.evaluate_vec`` (values) plus
 :func:`~repro.batch.batch_tally` (aggregate, per-element slots, path list)
 for every classifiable method.  Values are compared at the *bit* level —
-NaN payloads and signed zeros included — because the fused kernels
-replicate the unfused expressions rather than approximating them.
+NaN payloads and signed zeros included.
 
 The evaluator must also abstain exactly where ``classify_paths`` does —
 the property that lets a launch fall straight back to the scalar loop —
 and every launch, abstaining or not, must equal the scalar oracle (a
 raw-kernel plan of ``Method.evaluate``); every harness case also probes
-non-finites, signed zeros and out-of-range magnitudes for that.
+non-finites, signed zeros and out-of-range and huge magnitudes for that.
+Where the oracle itself raises, the launch must raise the same error.
 
 A fast subset mirrors ``test_differential.FAST_PAIRS`` in tier-1; the full
 ``METHOD_SUPPORT`` matrix is ``slow``-marked and runs in CI's differential
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.api import make_method
-from repro.batch import batch_tally, compile_vec
+from repro.batch import VecEvaluator, batch_tally
 from repro.core.functions.support import METHOD_SUPPORT
 from repro.core.method import Method
 from repro.errors import ConfigurationError
@@ -56,44 +56,57 @@ def _assert_bits_equal(a: np.ndarray, b: np.ndarray, msg: str) -> None:
     )
 
 
-#: Non-finites, signed zeros, and magnitudes past the CORDIC fx_mul bound
-#: (a Q3.28 raw word of at least 2**35: |x| >= 128 when range reduction is
-#: skipped).
+_FLT_MAX = float(np.finfo(_F32).max)
+
+#: Non-finites, signed zeros, magnitudes past the CORDIC fx_mul bound (a
+#: Q3.28 raw word of at least 2**35: |x| >= 128 when range reduction is
+#: skipped), and magnitudes whose scaled table index or raw word is beyond
+#: int64.
 _ABSTAIN_PROBES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 128.0,
-                            -128.0, 1.0e6], dtype=_F32)
+                            -128.0, 1.0e6, 1.0e30, -1.0e30, _FLT_MAX,
+                            -_FLT_MAX], dtype=_F32)
 
 
-#: Entries whose array path still differs from the scalar oracle on
-#: non-finite lanes: the periodic reduction of +-inf, and NaN/+-inf in the
-#: fixed-point L-LUT log/sqrt family.  Their launches are held to the
-#: oracle on the finite lanes only.
-_NONFINITE_DIVERGENT = frozenset(
-    [(m, f) for m in ("llut", "llut_i", "mlut_i", "poly")
-     for f in ("sin", "cos", "tan")]
-    + [(m, f) for m in ("llut_fx", "llut_i_fx")
-       for f in ("log", "log2", "log10", "sqrt", "rsqrt")]
-)
+def _traces(m, x) -> bool:
+    """Whether the scalar oracle evaluates ``x`` without raising."""
+    try:
+        m.element_tally(float(x))
+    except Exception:
+        return False
+    return True
 
 
-def _assert_abstains_like_classifier(m, xs: np.ndarray,
-                                     method_name: str) -> None:
+def _assert_abstains_like_classifier(m, xs: np.ndarray) -> None:
     """The evaluator abstains exactly where ``classify_paths`` does, and the
-    launch — fused or fallen back — equals the scalar oracle (``xs`` fits
-    one sample)."""
+    launch — evaluated or fallen back — equals the scalar oracle (``xs``
+    fits one sample)."""
     name = f"{m.method_name}/{m.spec.name}"
     try:
-        fused = compile_vec(m).run(xs, tally_cache={})
+        keys = m.classify_paths(xs)
     except Exception as exc:
-        with pytest.raises(type(exc)):   # the traced oracle raises too
-            m.evaluate_vec(xs)
-        return
-    assert (fused is None) == (m.classify_paths(xs) is None), name
-    if (method_name, m.spec.name) in _NONFINITE_DIVERGENT:
-        xs = xs[np.isfinite(xs)]
+        with pytest.raises(type(exc)):
+            VecEvaluator(m).run(xs, tally_cache={})
+    else:
+        fused = VecEvaluator(m).run(xs, tally_cache={})
+        assert (fused is None) == (keys is None), name
+    _assert_launch_matches_oracle(m, xs, name)
+
+
+def _assert_launch_matches_oracle(m, xs: np.ndarray, name: str) -> None:
     system = PIMSystem(SystemConfig(n_dpus=4))
-    a = compile_plan(system, m).execute(xs)
     oracle = functools.partial(Method.evaluate, m)
-    b = compile_plan(system, oracle).execute(xs)
+    try:
+        b = compile_plan(system, oracle).execute(xs)
+    except Exception as exc:
+        # The oracle cannot evaluate some lane: the launch raises the same
+        # error, and the lanes the oracle does evaluate are held to it.
+        with pytest.raises(type(exc)):
+            compile_plan(system, m).execute(xs)
+        xs = xs[[_traces(m, x) for x in xs]]
+        if xs.size:
+            _assert_launch_matches_oracle(m, xs, name)
+        return
+    a = compile_plan(system, m).execute(xs)
     assert a.total_seconds == b.total_seconds, name
     assert a.per_dpu.total_tally.slots == b.per_dpu.total_tally.slots
     assert a.per_dpu.total_tally.counts == b.per_dpu.total_tally.counts
@@ -106,14 +119,14 @@ def _assert_vec_identical(method_name: str, function: str,
     m = _get_method(function, method_name, assume_in_range)
     xs = _inputs_for(function, assume_in_range, n)
     _assert_abstains_like_classifier(
-        m, np.concatenate([xs[:32], _ABSTAIN_PROBES]), method_name)
+        m, np.concatenate([xs[:32], _ABSTAIN_PROBES]))
 
     ref_values = m.evaluate_vec(xs)
-    fused = compile_vec(m).run(xs, tally_cache={})
+    fused = VecEvaluator(m).run(xs, tally_cache={})
     ref_batch = batch_tally(m, xs)
 
     assert fused is not None, (
-        f"{method_name}/{function} abstained in the fused evaluator but "
+        f"{method_name}/{function} abstained in the evaluator but "
         "classifies in the traced engine"
     )
     _assert_bits_equal(fused.values, ref_values,
@@ -169,7 +182,7 @@ def test_full_matrix_covers_method_support():
 def test_memo_serves_repeat_batches():
     m = _get_method("sin", "llut_i_fx", True)
     xs = _inputs_for("sin", True, 128)
-    ev = compile_vec(m)
+    ev = VecEvaluator(m)
     first = ev.run(xs)
     second = ev.run(xs)
     # Identity, not just equality: the second run is the memoized triple.
@@ -180,9 +193,10 @@ def test_memo_serves_repeat_batches():
     np.testing.assert_array_equal(first.batch.slots, second.batch.slots)
 
 
-def test_memo_is_bounded_lru():
+def test_memo_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr("repro.batch.vec._LAUNCH_MEMO_SIZE", 2)
     m = _get_method("sin", "llut_i", True)
-    ev = compile_vec(m, memo_size=2)
+    ev = VecEvaluator(m)
     for seed in range(4):
         ev.run(_inputs_for("sin", True, 32, seed=seed))
     assert len(ev._memo) == 2
@@ -203,7 +217,7 @@ def test_values_skips_aggregation():
 
 def test_empty_batch_is_empty_result():
     m = _get_method("sin", "llut_i", True)
-    r = compile_vec(m).run(np.empty(0, dtype=_F32))
+    r = VecEvaluator(m).run(np.empty(0, dtype=_F32))
     assert r.batch.n == 0 and r.batch.batched
     assert r.batch.tally.slots == 0 and r.batch.paths == []
     assert r.values.size == 0 and r.values.dtype == _F32
@@ -215,7 +229,7 @@ def test_abstain_falls_back_bit_identically():
     to the scalar loop without changing numbers."""
     m = _get_method("sin", "cordic", True)
     xs = np.array([1.0e6, 0.5, -3.0], dtype=_F32)
-    ev = compile_vec(m)
+    ev = VecEvaluator(m)
     assert ev.run(xs) is None
     got = DPU().run_kernel(m.evaluate, xs, evaluator=ev)
     ref = DPU().run_kernel(functools.partial(Method.evaluate, m), xs)
@@ -241,26 +255,49 @@ def test_run_kernel_uses_evaluator_when_classifiable():
                        "run_kernel outputs")
 
 
-def test_evaluator_pickles_without_memo():
+def _spy(monkeypatch, obj, name: str, calls: list) -> None:
+    """Record each call of ``obj.name`` in ``calls``.  Instance-level, so
+    spy only on objects the test owns (not the shared method cache)."""
+    real = getattr(obj, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, spy)
+
+
+def _assert_one_pass(monkeypatch, ev, xs) -> None:
+    """One evaluator run is one reducer pass plus one core pass."""
+    calls: list = []
+    _spy(monkeypatch, ev.method.reducer, "reduce_vec", calls)
+    _spy(monkeypatch, ev.method, "core_vec", calls)
+    assert ev.run(xs, tally_cache={}) is not None
+    assert calls == ["reduce_vec", "core_vec"]
+
+
+def test_evaluator_pickles_without_memo(monkeypatch):
     """Plans ship to worker pools; the evaluator must pickle cleanly and
     drop its memo (pure locality, rebuilt on the worker)."""
     m = make_method("sin", "llut_i", density_log2=8).setup()
-    ev = compile_vec(m)
+    ev = VecEvaluator(m)
     xs = np.linspace(0.0, 1.0, 64, dtype=_F32)
     ev.run(xs)
     assert len(ev._memo) == 1
     clone = pickle.loads(pickle.dumps(ev))
-    assert clone.mode == ev.mode
     assert len(clone._memo) == 0
+    _assert_one_pass(monkeypatch, clone, xs)
     r = clone.run(xs)
     _assert_bits_equal(r.values, ev.run(xs).values, "pickled clone values")
 
 
-def test_mlut_family_uses_fused_kernels():
-    """The M-LUT family dispatches onto its dedicated fused kernels, not
-    the generic per-stage fallback."""
-    assert compile_vec(_get_method("sin", "mlut", False)).mode == "mlut"
-    assert compile_vec(_get_method("sin", "mlut_i", False)).mode == "mlut_i"
+def test_mlut_family_uses_fused_kernels(monkeypatch):
+    """An M-LUT launch is one reducer pass and one core pass: values and
+    keys share the range reduction and the address generation."""
+    for name in ("mlut", "mlut_i"):
+        m = make_method("sin", name, assume_in_range=False).setup()
+        _assert_one_pass(monkeypatch, VecEvaluator(m),
+                         _inputs_for("sin", False, 64))
 
 
 def test_tally_cache_shared_with_traced_engine():
@@ -269,7 +306,7 @@ def test_tally_cache_shared_with_traced_engine():
     xs = _inputs_for("sin", False, 128)
     cache: dict = {}
     traced = batch_tally(m, xs, tally_cache=cache)
-    fused = compile_vec(m).run(xs, tally_cache=cache)
+    fused = VecEvaluator(m).run(xs, tally_cache=cache)
     assert fused.batch.tally.slots == traced.tally.slots
     assert fused.batch.tally.counts == traced.tally.counts
     # Every fused path key was already cached by the traced run.

@@ -1,4 +1,4 @@
-"""Path-tally reuse across plans, and the fused D-LUT kernels.
+"""Path-tally reuse across plans, and the D-LUT family's launch passes.
 
 A path's tally depends on the method and its placement, never on the input
 values, so one trace serves every later launch of that path.  The one memo
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import make_method
-from repro.batch import batch_tally, compile_vec
+from repro.batch import VecEvaluator, batch_tally
 from repro.obs.metrics import collecting
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
@@ -46,19 +46,43 @@ def system():
     return PIMSystem(SystemConfig(n_dpus=32))
 
 
+def _count_calls(monkeypatch, obj, calls):
+    """Record each ``obj.core_vec`` call in ``calls`` (a fresh ``obj``)."""
+    real = obj.core_vec
+
+    def spy(u, keys):
+        calls.append(obj.method_name)
+        return real(u, keys)
+
+    monkeypatch.setattr(obj, "core_vec", spy)
+
+
 class TestFusedDLUTModes:
-    def test_dlut_family_classifies_into_fused_kernels(self):
-        assert compile_vec(_method("tanh", "dlut")).mode == "dlut"
-        assert compile_vec(_method("gelu", "dlut_i")).mode == "dlut_i"
-        # The composite DL-LUT routes through its own sub-methods; it must
-        # NOT be captured by the direct-table kernels.
-        assert compile_vec(_method("tanh", "dllut")).mode == "generic"
+    def test_dlut_family_classifies_into_fused_kernels(self, monkeypatch):
+        # A direct table's launch is one core pass; the composite DL-LUT
+        # delegates to one pass of each sub-table over its own lanes.
+        for fn, meth in [("tanh", "dlut"), ("gelu", "dlut_i")]:
+            m = _method(fn, meth)
+            calls = []
+            _count_calls(monkeypatch, m, calls)
+            VecEvaluator(m).run(_inputs(64, seed=5), tally_cache={})
+            assert calls == [meth]
+        m = _method("tanh", "dllut")
+        calls = []
+        for part in (m, m.low, m.high):
+            _count_calls(monkeypatch, part, calls)
+        xs = np.concatenate([_inputs(64, seed=5),
+                             np.ldexp(_inputs(8, seed=6, lo=0.0, hi=1.0),
+                                      -20).astype(_F32)])
+        assert np.any(np.abs(xs) < m.boundary)
+        VecEvaluator(m).run(xs, tally_cache={})
+        assert calls == ["dllut", "dlut", "llut"]
 
     def test_fused_dlut_values_bit_identical(self):
         for fn, meth in [("tanh", "dlut"), ("gelu", "dlut_i")]:
             m = _method(fn, meth)
             xs = _inputs(256, seed=3)
-            fused = compile_vec(m).run(xs, tally_cache={})
+            fused = VecEvaluator(m).run(xs, tally_cache={})
             assert fused.values.tobytes() == m.evaluate_vec(xs).tobytes()
             ref = batch_tally(m, xs)
             assert fused.batch.tally.counts == ref.tally.counts
@@ -118,7 +142,7 @@ class TestTallyMemo:
     def test_pickle_drops_the_tally_memo(self, system):
         # The evaluator holds no tallies of its own: a pickled clone
         # traces every path into the caller's dict, bit-identically.
-        ev = compile_vec(_method())
+        ev = VecEvaluator(_method())
         xs = _inputs(64, seed=13)
         warm = {}
         first = ev.run(xs, tally_cache=warm)

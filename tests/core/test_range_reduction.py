@@ -65,7 +65,7 @@ class TestPeriodic:
     def test_vec_matches_scalar(self, x):
         r = PeriodicReducer(2 * math.pi)
         u, _, _ = _trace(r, x)
-        uv, _ = r.reduce_vec(np.array([x], dtype=_F32))
+        uv, _, _ = r.reduce_vec(np.array([x], dtype=_F32))
         assert uv[0] == u
 
 
@@ -88,7 +88,7 @@ class TestExpSplit:
     def test_vec_matches_scalar(self, x):
         r = ExpSplitReducer()
         f, k, _ = _trace(r, x)
-        fv, kv = r.reduce_vec(np.array([x], dtype=_F32))
+        fv, kv, _ = r.reduce_vec(np.array([x], dtype=_F32))
         assert fv[0] == f and kv[0] == k
 
 
@@ -157,7 +157,7 @@ class TestSqrtSplit:
     def test_vec_matches_scalar(self, x):
         r = SqrtSplitReducer()
         m, e, _ = _trace(r, x)
-        mv, ev = r.reduce_vec(np.array([x], dtype=_F32))
+        mv, ev, _ = r.reduce_vec(np.array([x], dtype=_F32))
         assert mv[0] == m and ev[0] == e
 
 
@@ -202,7 +202,7 @@ class TestOddSymmetric:
         r = OddSymmetricReducer("complement")
         xs = rng.uniform(-4, 4, 64).astype(_F32)
         ys = rng.uniform(0, 1, 64).astype(_F32)
-        uv, sv = r.reduce_vec(xs)
+        uv, sv, _ = r.reduce_vec(xs)
         outv = r.reconstruct_vec(ys, sv)
         ctx = CycleCounter()
         for i in range(64):

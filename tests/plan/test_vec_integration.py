@@ -144,7 +144,10 @@ class TestEvaluatorSharing:
                 != mram.per_dpu.total_tally.slots)
 
     def test_describe_reports_vec(self, system):
+        # The kernel row names the launch path: a Method plan launches
+        # through its evaluator, a raw kernel through the scalar loop.
         plan = compile_plan(system, _method()).describe()
         raw = _oracle(system, _method()).describe()
-        assert "vec evaluator" in plan and "llut_i" in plan
-        assert "vec evaluator" in raw and "none (raw kernel)" in raw
+        assert "Method.evaluate" in plan and "llut_i" in plan
+        assert "raw callable" in raw and "Method.evaluate" not in raw
+        assert "vec evaluator" not in plan + raw
