@@ -29,8 +29,8 @@ def test_plan_cache_speedup_floor(bench_seeds, write_report):
     """Warm plans must beat per-launch rebuilds by >= 5x wall-clock.
 
     Measured margin is ~7-10x (the warm stream still pays method
-    construction and signature hashing for the cache lookup), so the 5x
-    floor leaves headroom for a loaded CI core.
+    construction and its table-key derivation for the cache lookup), so
+    the 5x floor leaves headroom for a loaded CI core.
     """
     system = PIMSystem(SystemConfig(n_dpus=64))
     xs = default_inputs("sin", n=4096, seed=bench_seeds["plan_cache"])

@@ -26,7 +26,7 @@ from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.pim.topology import PAPER_TOPOLOGY
 from repro.plan.dispatch import execute_sharded
-from repro.plan.plan import TransferSchedule, compile_plan
+from repro.plan.plan import LaunchConfig, TransferSchedule, compile_plan
 
 #: Transfer-heavy sweep points: cheap kernels, so the unbalanced
 #: scatter/gather dominates the flat serial launch.
@@ -44,10 +44,10 @@ _FLOOR = 4.0
 
 
 def _execute(system, method, rank_parallel, xs):
-    plan = compile_plan(
-        system, method, sample_size=64,
+    plan = compile_plan(system, method, LaunchConfig(
+        sample_size=64,
         transfers=TransferSchedule(balanced=False,
-                                   rank_parallel=rank_parallel))
+                                   rank_parallel=rank_parallel)))
     return plan.execute(xs, virtual_n=_N)
 
 
@@ -95,10 +95,10 @@ def test_rank_aligned_sharded_floor(bench_seeds, write_report):
     xs = default_inputs("sin", n=65536, seed=bench_seeds["topology"])
 
     def dispatch(rank_parallel):
-        plan = compile_plan(
-            system, m, sample_size=64,
+        plan = compile_plan(system, m, LaunchConfig(
+            sample_size=64,
             transfers=TransferSchedule(balanced=False,
-                                       rank_parallel=rank_parallel))
+                                       rank_parallel=rank_parallel)))
         return execute_sharded(plan, xs, n_shards=_SHARDS, overlap=True,
                                rank_aligned=True)
 

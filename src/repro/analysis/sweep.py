@@ -29,6 +29,7 @@ from repro.obs.tracer import span as _span
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.plan.cache import PlanCache
+from repro.plan.plan import LaunchConfig
 
 __all__ = ["SweepPoint", "sweep_method", "SINE_SWEEPS", "default_inputs"]
 
@@ -106,6 +107,7 @@ def sweep_method(
     # One representative core: sweeps measure per-element cycles, so the
     # rest of the system (DPU count, host links) never enters the numbers.
     system = PIMSystem(SystemConfig(n_dpus=1), costs)
+    launch = LaunchConfig(tasklets=tasklets, sample_size=sample_size)
     points: List[SweepPoint] = []
     for value in param_values:
         params = dict(extra_params or {})
@@ -131,8 +133,7 @@ def sweep_method(
                     continue
                 # Compile (pool hit: an equivalent built table — any
                 # placement — is retargeted; miss: the table builds here).
-                plan = cache.plan(system, m, tasklets=tasklets,
-                                  sample_size=sample_size)
+                plan = cache.plan(system, m, launch)
                 m = plan.method
             if (placement == "wram" and skip_oversized_wram
                     and plan.table_bytes > WRAM_TABLE_BUDGET):

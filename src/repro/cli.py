@@ -318,11 +318,12 @@ def _cmd_topology(args) -> int:
 def _cmd_plan(args) -> int:
     from repro.api import make_method
     from repro.plan.cache import PlanCache
+    from repro.plan.plan import LaunchConfig
 
     m = make_method(args.function, args.method, assume_in_range=False,
                     placement=args.placement, **_parse_knobs(args.knobs))
     plan = PlanCache().plan(_system_from_args(args), m,
-                            tasklets=args.tasklets)
+                            LaunchConfig(tasklets=args.tasklets))
     print(plan.describe(n_elements=args.n, shards=args.shards))
     return 0
 
@@ -333,6 +334,7 @@ def _cmd_run(args) -> int:
     from repro.core.functions.registry import get_function
     from repro.plan.cache import PlanCache
     from repro.plan.dispatch import execute_sharded
+    from repro.plan.plan import LaunchConfig
 
     m = make_method(args.function, args.method, assume_in_range=False,
                     placement=args.placement, **_parse_knobs(args.knobs))
@@ -340,7 +342,7 @@ def _cmd_run(args) -> int:
     xs = np.random.default_rng(0).uniform(lo, hi, args.n).astype(np.float32)
 
     system = _system_from_args(args)
-    plan = PlanCache().plan(system, m, tasklets=args.tasklets)
+    plan = PlanCache().plan(system, m, LaunchConfig(tasklets=args.tasklets))
     pool = None
     if args.shards > 1 and args.workers is not None and args.workers > 1:
         # One pool for every --repeat launch: the plan ships to the
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat warnings as failures")
     p.add_argument("--passes", default="",
                    help="comma-separated subset of passes "
-                        "(ast,contracts,intervals,memory,cache-key,"
+                        "(ast,contracts,intervals,memory,"
                         "determinism,parallel-safety,obs-contract)")
     p.add_argument("--extra-module", action="append", default=[],
                    metavar="MODULE",

@@ -24,27 +24,29 @@ machine-checks them with four passes:
     Sizes every method's tables against the
     :class:`~repro.pim.config.DPUConfig` WRAM/MRAM capacities.
 
-Four *whole-program* passes extend the verifier from single kernels to the
+Three *whole-program* passes extend the verifier from single kernels to the
 compiled-plan architecture (``repro.plan`` / ``repro.batch`` /
 ``repro.obs``) — the static gate for multi-process scale-out
 (:mod:`repro.plan.pool`):
 
-``cache-key``
-    Attribute-taint soundness of the :class:`~repro.plan.cache.PlanKey`:
-    every plan field read on the execute path is represented in the key
-    (no unsound hits) and every key field is read (no needless splits);
-    key builders must use typed tuples, not object reprs.
 ``determinism``
     Flags nondeterminism sources on plan/batch paths: unseeded or shared
     rngs, wall-clock reads, ``id()``-keyed aggregation, raw set iteration.
 ``parallel-safety``
-    Certifies plans, transfer schedules, table images and shard
-    descriptors as picklable, lock-free and handle-free — ready for a
+    Certifies plans, launch configs, transfer schedules, table images and
+    shard descriptors as picklable, lock-free and handle-free — ready for a
     ``multiprocessing`` pool — by structural graph walk plus a pickle
     round-trip.
 ``obs-contract``
     Every span opens under ``with`` (closed on all paths) and every
     counter/gauge emitted is declared in :mod:`repro.obs.catalog`.
+
+The plan cache's key needs no pass: an
+:class:`~repro.plan.plan.ExecutionPlan` receives its launch parameters only
+as one :class:`~repro.plan.plan.LaunchConfig`, which the
+:class:`~repro.plan.cache.PlanKey` holds whole.  Tests pin the rest: a
+plan's attributes are all keyed, every config field changes a simulated
+number, and every request-spec field splits the serving lane key.
 
 Accepted findings can be recorded in a baseline file
 (:mod:`repro.lint.baseline`, ``repro lint --baseline``) so only new
@@ -58,8 +60,6 @@ from repro.lint.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.lint.cachekey import (check_cache_key_sources,
-                                 check_request_key_sources, run_cache_key)
 from repro.lint.contracts import check_contract, run_contracts
 from repro.lint.determinism import check_determinism_source, run_determinism
 from repro.lint.intervals import (
@@ -84,8 +84,6 @@ __all__ = [
     "PROGRAM_PASSES",
     "Violation",
     "apply_baseline",
-    "check_cache_key_sources",
-    "check_request_key_sources",
     "check_contract",
     "check_determinism_source",
     "check_method_intervals",
@@ -99,7 +97,6 @@ __all__ = [
     "lint_kernel",
     "load_baseline",
     "run_ast_lint",
-    "run_cache_key",
     "run_contracts",
     "run_determinism",
     "run_intervals",

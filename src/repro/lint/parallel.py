@@ -3,6 +3,7 @@
 :mod:`repro.plan.pool` lifts :func:`~repro.plan.dispatch.execute_sharded`
 onto a ``multiprocessing`` pool.  That is only safe if everything a shard
 needs — the :class:`~repro.plan.plan.ExecutionPlan`, its
+:class:`~repro.plan.plan.LaunchConfig` and
 :class:`~repro.plan.plan.TransferSchedule`, the built table images, and the
 shard descriptors — is built from picklable, lock-free, handle-free types.
 This pass certifies that *dynamically but exhaustively*: it compiles
@@ -179,9 +180,9 @@ def default_targets() -> List[Tuple[str, object]]:
     """Representative (name, artifact) pairs certified by the default run.
 
     Compiles one plan per method-family shape on a small system, executes
-    each once so runtime caches hold real state, and adds the transfer
-    schedule, the built table image arrays, and a sharded dispatch's shard
-    descriptors.
+    each once so runtime caches hold real state, and adds the launch
+    config, the transfer schedule, the built table image arrays, and a
+    sharded dispatch's shard descriptors.
     """
     from repro.api import make_method
     from repro.pim.config import SystemConfig
@@ -189,7 +190,8 @@ def default_targets() -> List[Tuple[str, object]]:
     from repro.pim.topology import PAPER_TOPOLOGY, Topology
     from repro.plan.dispatch import (execute_sharded, shard_split,
                                      spawn_shard_rngs)
-    from repro.plan.plan import TransferSchedule, compile_plan
+    from repro.plan.plan import (LaunchConfig, TransferSchedule,
+                                 compile_plan)
     from repro.plan.pool import ShardTask, ship_plan, unlink_shipment
 
     system = PIMSystem(SystemConfig(n_dpus=8))
@@ -199,6 +201,7 @@ def default_targets() -> List[Tuple[str, object]]:
     # artifact in its own right — certify the paper instance, a sliced
     # view (the shape workers actually reconstruct), and a custom one.
     targets: List[Tuple[str, object]] = [
+        ("launch_config", LaunchConfig()),
         ("transfer_schedule", TransferSchedule()),
         ("shard_split", shard_split(200, 8, 2)),
         ("topology:paper", PAPER_TOPOLOGY),

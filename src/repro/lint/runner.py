@@ -6,7 +6,6 @@ from typing import Iterable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.lint.astlint import run_ast_lint
-from repro.lint.cachekey import run_cache_key
 from repro.lint.contracts import run_contracts
 from repro.lint.determinism import run_determinism
 from repro.lint.intervals import run_intervals
@@ -22,10 +21,9 @@ __all__ = ["ALL_PASSES", "KERNEL_PASSES", "PROGRAM_PASSES", "run_lint"]
 KERNEL_PASSES = ("ast", "contracts", "intervals", "memory")
 
 #: Whole-program analyzer passes over repro.plan / repro.batch / repro.obs:
-#: cache-key soundness, nondeterminism sources, multiprocessing readiness,
-#: and the span/metric contract.
-PROGRAM_PASSES = ("cache-key", "determinism", "parallel-safety",
-                  "obs-contract")
+#: nondeterminism sources, multiprocessing readiness, and the span/metric
+#: contract.
+PROGRAM_PASSES = ("determinism", "parallel-safety", "obs-contract")
 
 ALL_PASSES = KERNEL_PASSES + PROGRAM_PASSES
 
@@ -71,10 +69,6 @@ def run_lint(
         if "memory" in passes:
             report.extend(run_memory(methods)[0])
 
-    if "cache-key" in passes:
-        violations, stats = run_cache_key()
-        report.extend(violations)
-        report.checked.update(stats)
     if "determinism" in passes:
         violations, stats = run_determinism(extra_modules=extra_modules)
         report.extend(violations)

@@ -75,11 +75,6 @@ COUNTERS: Dict[str, str] = {
     # sweep engine
     "sweep.points": "sweep configurations evaluated",
     "sweep.skipped_oversized": "sweep points skipped for table size",
-    # table cache
-    "tablecache.hits": "built tables served from the cache",
-    "tablecache.misses": "table builds on cache miss",
-    "tablecache.stores": "tables stored into the cache",
-    "tablecache.evictions": "tables evicted for the byte budget",
 }
 
 #: Dynamic counter families: names built with one interpolated component
@@ -110,7 +105,6 @@ GAUGES: Dict[str, str] = {
         "fraction of DMA time hidden behind compute",
     "topology.transfer_rank_parallelism":
         "rank fan-out applied to an unbalanced transfer's serialization",
-    "tablecache.bytes": "resident bytes in the table cache",
 }
 
 

@@ -33,7 +33,7 @@ from repro.core.setup_model import DEFAULT_SETUP_MODEL, SetupTimeModel
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import span as _span
-from repro.pim.system import PIMSystem, SystemRunResult
+from repro.pim.system import PIMSystem
 
 __all__ = ["PIMRuntime", "InstalledFunction"]
 
@@ -65,8 +65,11 @@ class InstalledFunction:
         ``workers``/``pool`` run those shards on a multiprocess pool
         (:mod:`repro.plan.pool`) with bit-identical results.
         """
+        from repro.plan.plan import LaunchConfig
+
         with _span("host.run", function=self.name) as sp:
-            plan = self.runtime.plan(self.name, tasklets=tasklets)
+            plan = self.runtime.plan(self.name,
+                                     LaunchConfig(tasklets=tasklets))
             x = np.asarray(x, dtype=np.float32)
             if shards > 1:
                 from repro.plan.dispatch import execute_sharded
@@ -145,15 +148,16 @@ class PIMRuntime:
             self._plans = PlanCache()
         return self._plans
 
-    def plan(self, name: str, *, tasklets: int = 16, sample_size: int = 64,
-             transfers=None):
+    def plan(self, name: str, config=None):
         """Compiled :class:`~repro.plan.plan.ExecutionPlan` for an
-        installed function, cached across calls."""
-        fn = self[name]
+        installed function under ``config`` (a
+        :class:`~repro.plan.plan.LaunchConfig`, default when omitted),
+        cached across calls."""
+        from repro.plan.plan import LaunchConfig
+
         return self.plan_cache.plan(
-            self.system, fn.method, tasklets=tasklets,
-            sample_size=sample_size, transfers=transfers,
-        )
+            self.system, self[name].method,
+            config if config is not None else LaunchConfig())
 
     def __getitem__(self, name: str) -> InstalledFunction:
         try:

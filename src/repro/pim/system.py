@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.isa.opcosts import OpCosts, UPMEM_COSTS
 from repro.pim.config import SystemConfig, UPMEM_SYSTEM
 from repro.pim.dpu import DPU, Kernel, KernelResult
@@ -82,14 +81,15 @@ class PIMSystem:
         """Even SPMD split, rounded up (the slowest core's share)."""
         return -(-n_elements // self.config.n_dpus)
 
-    def plan(self, target, **options):
+    def plan(self, target, config=None):
         """Compile ``target`` (a Method or raw kernel) into a reusable plan.
 
-        Options are :func:`~repro.plan.plan.compile_plan`'s: ``tasklets``,
-        ``sample_size``, ``transfers``, ``imbalance``.
+        ``config`` is the plan's :class:`~repro.plan.plan.LaunchConfig`
+        (the default one when omitted).
         """
-        from repro.plan.plan import compile_plan
-        return compile_plan(self, target, **options)
+        from repro.plan.plan import LaunchConfig, compile_plan
+        return compile_plan(self, target,
+                            config if config is not None else LaunchConfig())
 
     def run(
         self,
@@ -104,7 +104,9 @@ class PIMSystem:
         imbalance: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         virtual_n: Optional[int] = None,
-    ) -> SystemRunResult:
+        shards: int = 1,
+        overlap: bool = False,
+    ):
         """Simulate a whole-system run of ``kernel`` over ``inputs``.
 
         ``include_transfers=False`` models the in-PIM-pipeline deployment of
@@ -118,15 +120,24 @@ class PIMSystem:
         times the fair share, and the whole launch waits for it (SPMD
         barrier at the gather).
 
-        This is sugar over the plan/execute split: a throwaway plan is
+        ``shards > 1`` splits the run across that many disjoint DPU groups
+        and returns a :class:`~repro.plan.dispatch.ShardedRunResult`;
+        ``overlap=True`` double-buffers them (one shard's transfers overlap
+        other shards' kernels).  With ``shards=1`` the result is a
+        :class:`SystemRunResult`.
+
+        This is sugar over the plan/execute split: the keywords build one
+        :class:`~repro.plan.plan.LaunchConfig` and a throwaway plan is
         compiled and simulated per call (no launch memo — nothing would
         read it again).  Repeated launches should hold a plan
         (:meth:`plan` or a PlanCache) and ``execute`` it instead.
         """
-        from repro.plan.plan import ExecutionPlan, TransferSchedule
+        from repro.plan.dispatch import execute_sharded
+        from repro.plan.plan import (ExecutionPlan, LaunchConfig,
+                                     TransferSchedule)
 
-        plan = ExecutionPlan(
-            self, kernel, tasklets=tasklets, sample_size=sample_size,
+        plan = ExecutionPlan(self, kernel, LaunchConfig(
+            tasklets=tasklets, sample_size=sample_size,
             transfers=TransferSchedule(
                 bytes_in_per_element=bytes_in_per_element,
                 bytes_out_per_element=bytes_out_per_element,
@@ -134,64 +145,10 @@ class PIMSystem:
                 balanced=balanced_transfers,
             ),
             imbalance=imbalance,
-        )
+        ))
+        if shards > 1:
+            return execute_sharded(plan, inputs, n_shards=shards,
+                                   overlap=overlap, virtual_n=virtual_n,
+                                   rng=rng)
         return plan.simulate(inputs, virtual_n=virtual_n, rng=rng,
                              span_name="system.run")
-
-    def run_sharded(
-        self,
-        kernel: Kernel,
-        inputs: Sequence[float],
-        shards: int = 2,
-        overlap: bool = False,
-        tasklets: int = 16,
-        sample_size: int = 64,
-        bytes_in_per_element: int = 4,
-        bytes_out_per_element: int = 4,
-        include_transfers: bool = True,
-        balanced_transfers: bool = True,
-        imbalance: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-        virtual_n: Optional[int] = None,
-        workers: Optional[int] = None,
-        pool=None,
-        start_method: Optional[str] = None,
-        timeout: Optional[float] = None,
-        rank_aligned: bool = False,
-        rank_parallel_transfers: bool = False,
-    ):
-        """Run ``kernel`` split across ``shards`` disjoint DPU groups.
-
-        ``overlap=True`` double-buffers: one shard's host<->PIM transfers
-        overlap other shards' kernels (transfers serialize per direction on
-        the host links; kernels of disjoint groups run concurrently).
-        ``workers > 1`` (or an explicit :class:`~repro.plan.pool.ShardPool`
-        as ``pool``) runs the shards on a multiprocess pool with
-        bit-identical results; ``start_method`` picks the worker start
-        method and ``timeout`` bounds the dispatch in wall seconds.
-        ``rank_aligned`` splits along the system topology's rank
-        boundaries, and ``rank_parallel_transfers`` lets unbalanced
-        scatters/gathers serialize per rank rather than per system.
-        Returns a :class:`~repro.plan.dispatch.ShardedRunResult`.
-        """
-        from repro.plan.dispatch import execute_sharded
-        from repro.plan.plan import ExecutionPlan, TransferSchedule
-
-        if imbalance is not None and np.isscalar(imbalance) and imbalance < 0:
-            raise SimulationError("imbalance must be non-negative")
-        plan = ExecutionPlan(
-            self, kernel, tasklets=tasklets, sample_size=sample_size,
-            transfers=TransferSchedule(
-                bytes_in_per_element=bytes_in_per_element,
-                bytes_out_per_element=bytes_out_per_element,
-                include_transfers=include_transfers,
-                balanced=balanced_transfers,
-                rank_parallel=rank_parallel_transfers,
-            ),
-        )
-        return execute_sharded(
-            plan, inputs, n_shards=shards, overlap=overlap,
-            virtual_n=virtual_n, imbalance=imbalance, rng=rng,
-            workers=workers, pool=pool, start_method=start_method,
-            timeout=timeout, rank_aligned=rank_aligned,
-        )

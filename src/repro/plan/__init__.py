@@ -5,12 +5,12 @@ binding, transfer schedule, SPMD split) compiles once into an
 :class:`ExecutionPlan`; launches are then `execute(plan, inputs)` calls that
 never rebuild or re-trace what a previous launch already paid for.
 
-* :mod:`repro.plan.plan` — :class:`ExecutionPlan`, :class:`TransferSchedule`,
-  :func:`compile_plan`; ``PIMSystem.run`` is a bit-identical wrapper over
-  these.
-* :mod:`repro.plan.cache` — :class:`PlanCache`, the LRU keyed off the
-  table-geometry signature plus the full launch configuration, with a
-  placement-sharing built-table pool.
+* :mod:`repro.plan.plan` — :class:`ExecutionPlan`, :class:`LaunchConfig`,
+  :class:`TransferSchedule`, :func:`compile_plan`; ``PIMSystem.run`` is a
+  bit-identical wrapper over these.
+* :mod:`repro.plan.cache` — :class:`PlanCache`, the LRU keyed off
+  :class:`PlanKey` (table key, placement, system, op costs and
+  :class:`LaunchConfig`), with a placement-sharing built-table pool.
 * :mod:`repro.plan.dispatch` — :func:`execute_sharded`: inputs split across
   disjoint DPU groups with per-shard imbalance and optional double-buffered
   (overlapped) host<->PIM transfers.
@@ -24,7 +24,7 @@ never rebuild or re-trace what a previous launch already paid for.
   :meth:`PlanSession.launch_stream`.
 """
 
-from repro.plan.cache import PlanCache, PlanKey, plan_signature, table_signature
+from repro.plan.cache import PlanCache, PlanKey, key_for, table_key
 from repro.plan.dispatch import (
     ShardedRunResult,
     ShardResult,
@@ -32,7 +32,8 @@ from repro.plan.dispatch import (
     shard_ranges,
     shard_split,
 )
-from repro.plan.plan import ExecutionPlan, TransferSchedule, compile_plan
+from repro.plan.plan import (ExecutionPlan, LaunchConfig, TransferSchedule,
+                             compile_plan)
 from repro.plan.pool import PlanShipment, ShardPool, ShardTask
 from repro.plan.schedule import (
     PipelineSchedule,
@@ -43,8 +44,8 @@ from repro.plan.schedule import (
 from repro.plan.session import LaunchRecord, PlanSession, StreamResult
 
 __all__ = [
-    "ExecutionPlan", "TransferSchedule", "compile_plan",
-    "PlanCache", "PlanKey", "plan_signature", "table_signature",
+    "ExecutionPlan", "LaunchConfig", "TransferSchedule", "compile_plan",
+    "PlanCache", "PlanKey", "key_for", "table_key",
     "ShardResult", "ShardedRunResult", "shard_split", "shard_ranges",
     "execute_sharded",
     "StageItem", "ScheduledItem", "PipelineSchedule", "schedule_pipeline",

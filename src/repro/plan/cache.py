@@ -1,24 +1,32 @@
 """PlanCache: LRU of compiled ExecutionPlans plus a pooled table image.
 
-Keys build on :func:`repro.core.tablecache.cache_signature` — the stable
-digest of a method's table geometry — extended with everything else that
-changes a launch's numbers: every primitive constructor knob (so CORDIC
-``iterations`` or a polynomial ``degree`` can never collide), sub-methods of
-composites (recursively), the reducer's ``assume_in_range``, the op-cost
-table, and at the plan level the placement, system configuration, tasklet
-count, sample size, transfer schedule, and imbalance.
+A :class:`PlanKey` is the whole identity of a compiled launch: the
+method's table key, its placement, the system configuration and op
+costs, and the :class:`~repro.plan.plan.LaunchConfig`.  :func:`key_for`
+is the one builder, and :meth:`PlanCache.plan` hands the key's own
+config to the plan it compiles, so a plan can read no launch parameter
+its key lacks.
+
+The table key (:func:`table_key`) is nested tuples of tagged primitives:
+the method and function names, the reducer's ``assume_in_range``, the
+op-cost table, the table geometry record (which carries the interval),
+every public primitive constructor knob (table size, CORDIC
+``iterations``, a polynomial ``degree``, ...) and, recursively, the
+sub-methods of composites.  It is built once per Method instance —
+knobs never change after construction — and holds no object reprs or
+digests.
 
 Two tiers, because tables are placement-independent but launches are not:
 
-* the **method pool** keys off the placement-*excluded* signature and holds
-  one :class:`~repro.plan.plan.TableImage` per table — the built Method
+* the **method pool** keys off the table key and holds one
+  :class:`~repro.plan.plan.TableImage` per table — the built Method
   plus everything derived from it once: the launch evaluator, one
   path-tally dict per placement, and the ``memo`` of derived data such as
   the sweep's RMSE evaluation.  A WRAM plan and an MRAM plan of the same
   geometry share tables and evaluator without rebuilding, and every plan
-  of one (image, placement) — whatever its tasklets, sample size or
-  system — shares one tally dict;
-* the **plan LRU** keys off the full launch configuration and holds the
+  of one (image, placement) — whatever its launch config or system —
+  shares one tally dict;
+* the **plan LRU** keys off the full :class:`PlanKey` and holds the
   compiled plans themselves.
 
 Both tiers are bounded LRUs; hit/miss/evict counters surface through
@@ -27,9 +35,9 @@ Both tiers are bounded LRUs; hit/miss/evict counters surface through
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -40,13 +48,14 @@ from repro.isa.opcosts import OpCosts
 from repro.obs import metrics as _metrics
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
-from repro.plan.plan import (ExecutionPlan, TableImage, TransferSchedule,
+from repro.plan.plan import (ExecutionPlan, LaunchConfig, TableImage,
                              compile_plan)
 
-__all__ = ["PlanCache", "PlanKey", "key_for", "plan_signature",
-           "table_signature"]
+__all__ = ["PlanCache", "PlanKey", "key_for", "table_key"]
 
 _PRIMITIVE = (bool, int, float, str, np.floating, np.integer, np.bool_)
+#: Exact builtin types whose typed pair is the value itself.
+_EXACT_TAGS = {bool: "b", int: "i", str: "s"}
 
 
 def _typed(value) -> Tuple[str, object]:
@@ -56,6 +65,11 @@ def _typed(value) -> Tuple[str, object]:
     ``"1"`` vs ``True``); floats canonicalize through ``hex()`` so the
     component is bit-exact and independent of repr formatting.
     """
+    kind = type(value)
+    if kind is float:
+        return ("f", value.hex())
+    if kind in _EXACT_TAGS:
+        return (_EXACT_TAGS[kind], value)
     if isinstance(value, (bool, np.bool_)):
         return ("b", bool(value))
     if isinstance(value, (int, np.integer)):
@@ -65,99 +79,74 @@ def _typed(value) -> Tuple[str, object]:
     return ("s", str(value))
 
 
+@lru_cache(maxsize=16)
 def _costs_parts(costs: OpCosts) -> Tuple[Tuple[str, Tuple[str, object]], ...]:
     """The op-cost table as sorted (field, typed value) pairs."""
     return tuple((f.name, _typed(getattr(costs, f.name)))
                  for f in sorted(fields(costs), key=lambda f: f.name))
 
 
-def _method_parts(method: Method, include_placement: bool) -> tuple:
-    """Every field that can change this method's numbers, as typed tuples.
+def _method_parts(method: Method) -> tuple:
+    """Every field that can change this method's table or numbers.
 
-    Recurses into sub-Methods (composites like DL-LUT and the tan quotient
-    keep their knobs on their parts) and into the geometry record.  The
-    structure is pure nested tuples of tagged primitives — no object reprs,
-    which can churn across refactors or collide across distinct values —
-    so its canonical encoding is a stable cache-key component (enforced by
-    the ``cache-key`` lint pass, rule ``key-unstable-component``).
+    Placement is left out (the plan key carries it); the geometry record
+    enters through its primitive fields and sub-Methods recursively.
     """
-    from repro.core.tablecache import cache_signature
-
-    parts = [("table", ("s", cache_signature(method))),
+    parts = [("method", ("s", method.method_name)),
+             ("function", ("s", method.spec.name)),
              ("air", _typed(method.assume_in_range)),
              ("costs", _costs_parts(method.costs))]
-    if include_placement:
-        parts.append(("placement", ("s", str(method.placement))))
+    geom = getattr(method, "geom", None)
+    if geom is not None:
+        parts.append(("geom", tuple(
+            (name, _typed(value)) for name, value in sorted(vars(geom).items())
+            if isinstance(value, _PRIMITIVE))))
     for name, value in sorted(vars(method).items()):
         if name.startswith("_") or name == "placement":
             continue
         if isinstance(value, _PRIMITIVE):
             parts.append((name, _typed(value)))
         elif isinstance(value, Method):
-            parts.append((name, _method_parts(value, include_placement)))
+            parts.append((name, _method_parts(value)))
     return tuple(parts)
 
 
-def _digest(parts: tuple) -> str:
-    """Stable 24-hex digest of a nested typed-tuple structure.
+def table_key(method: Method) -> tuple:
+    """Placement-independent identity of a method's built table image.
 
-    ``repr`` here is unambiguous: every leaf is a tagged primitive tuple,
-    so equal structures encode equally and distinct ones cannot collide
-    textually.
+    Computed once per instance and kept on it: a method's knobs are fixed
+    at construction, and ``setup``/``set_placement`` change nothing the
+    key holds.
     """
-    return hashlib.sha256(repr(parts).encode()).hexdigest()[:24]
-
-
-def table_signature(method: Method) -> str:
-    """Placement-independent identity of a method's built table image."""
-    digest = _digest(_method_parts(method, include_placement=False))
-    return f"{method.method_name}-{method.spec.name}-{digest}"
-
-
-def plan_signature(method: Method) -> str:
-    """Full launch-relevant identity (table image + placement)."""
-    digest = _digest(_method_parts(method, include_placement=True))
-    return f"{method.method_name}-{method.spec.name}-{digest}"
+    key = method.__dict__.get("_table_key")
+    if key is None:
+        key = method._table_key = _method_parts(method)
+    return key
 
 
 @dataclass(frozen=True)
 class PlanKey:
     """Everything that distinguishes one compiled launch from another."""
 
-    table_key: str
+    table_key: tuple
     placement: str
     #: The system configuration by value — its channel/DIMM/rank topology
     #: included, so two systems with equal ``n_dpus`` but a different
     #: rank structure (which changes unbalanced timings) never collide.
     system: SystemConfig
     costs: OpCosts
-    tasklets: int
-    sample_size: int
-    transfers: TransferSchedule
-    imbalance: float
+    config: LaunchConfig
 
 
-def key_for(system: PIMSystem, method: Method, *,
-            tasklets: int = 16, sample_size: int = 64,
-            transfers: Optional[TransferSchedule] = None,
-            imbalance: float = 0.0) -> PlanKey:
-    """The PlanKey a :meth:`PlanCache.plan` call with these arguments uses.
+def key_for(system: PIMSystem, method: Method,
+            config: LaunchConfig = LaunchConfig()) -> PlanKey:
+    """The PlanKey of ``method`` launched on ``system`` under ``config``.
 
-    Module-level so key producers that are not caches — the serving front
-    end's normalized request keys (:mod:`repro.serve.keys`) — derive their
-    identity through the exact same builder.
+    The one key builder: :meth:`PlanCache.plan` and the serving front
+    end's lanes (:mod:`repro.serve.server`) both key through it.
     """
-    return PlanKey(
-        table_key=table_signature(method),
-        placement=method.placement,
-        system=system.config,
-        costs=system.costs,
-        tasklets=tasklets,
-        sample_size=sample_size,
-        transfers=transfers if transfers is not None
-        else TransferSchedule(),
-        imbalance=imbalance,
-    )
+    return PlanKey(table_key(method), method.placement, system.config,
+                   system.costs, config)
 
 
 class PlanCache:
@@ -189,11 +178,9 @@ class PlanCache:
 
     # ------------------------------------------------------------------
 
-    def plan(self, system: PIMSystem, method: Method, *,
-             tasklets: int = 16, sample_size: int = 64,
-             transfers: Optional[TransferSchedule] = None,
-             imbalance: float = 0.0) -> ExecutionPlan:
-        """The compiled plan for this launch configuration, cached.
+    def plan(self, system: PIMSystem, method: Method,
+             config: LaunchConfig = LaunchConfig()) -> ExecutionPlan:
+        """The compiled plan of ``method`` on ``system`` under ``config``.
 
         On a plan miss, the method pool is consulted first: an equivalent
         built table image (any placement) is reused via
@@ -202,9 +189,7 @@ class PlanCache:
         ``method`` may be passed un-setup — compilation builds it (or
         skips the build entirely on a pool hit).
         """
-        key = key_for(system, method, tasklets=tasklets,
-                      sample_size=sample_size, transfers=transfers,
-                      imbalance=imbalance)
+        key = key_for(system, method, config)
         cached = self._plans.get(key)
         if cached is not None:
             self._plans.move_to_end(key)
@@ -224,11 +209,7 @@ class PlanCache:
         if pooled_hit and pooled.placement != key.placement:
             pooled.set_placement(key.placement)
 
-        plan = compile_plan(
-            system, pooled, tasklets=tasklets, sample_size=sample_size,
-            transfers=key.transfers, imbalance=imbalance,
-            signature=plan_signature(pooled), image=image,
-        )
+        plan = compile_plan(system, pooled, key.config, image=image)
         # Pool only after a successful compile: a failing table build must
         # not leave a half-built method answering future pool lookups.
         if pooled_hit:

@@ -429,7 +429,7 @@ def execute_sharded(
             ))
         result = ShardedRunResult(
             n_elements=n, n_shards=n_shards, overlap=overlap,
-            tasklets=plan.tasklets, shards=shards, total_seconds=total,
+            tasklets=plan.config.tasklets, shards=shards, total_seconds=total,
         )
         dsp.set(sim_seconds=total,
                 serial_seconds=result.serial_seconds)

@@ -13,10 +13,10 @@ is compiled once per (kernel, system configuration) and captures everything
   scalar tracing across launches (equal path key means bit-identical
   tally, the invariant the differential harness in ``tests/batch/``
   enforces — so a cached tally is exact, not approximate),
-* the transfer schedule (:class:`TransferSchedule`: bytes per element,
-  whether transfers are modeled, whether they are balanced),
-* the launch geometry (tasklets, sample size, imbalance) and the SPMD
-  work split over the system's cores.
+* the :class:`LaunchConfig`: tasklets, trace sample size, transfer
+  schedule (:class:`TransferSchedule`: bytes per element, whether
+  transfers are modeled, whether they are balanced) and imbalance,
+* the SPMD work split over the system's cores.
 
 :meth:`ExecutionPlan.execute` then runs any number of input arrays through
 the compiled launch.  :meth:`PIMSystem.run <repro.pim.system.PIMSystem.run>`
@@ -42,7 +42,8 @@ from repro.obs.tracer import span as _span
 from repro.pim.dpu import DPU
 from repro.pim.system import PIMSystem, SystemRunResult
 
-__all__ = ["TransferSchedule", "TableImage", "ExecutionPlan", "compile_plan"]
+__all__ = ["TransferSchedule", "LaunchConfig", "TableImage", "ExecutionPlan",
+           "compile_plan"]
 
 _F32 = np.float32
 
@@ -102,12 +103,29 @@ class TransferSchedule:
             ranks=ranks)
 
 
+@dataclass(frozen=True)
+class LaunchConfig:
+    """The compile-time parameters of one launch, as one hashable value.
+
+    A plan reads these only through its ``config``, and the
+    :class:`~repro.plan.cache.PlanKey` holds the same object, so a field
+    added here is keyed the moment it exists.  ``imbalance`` is the
+    default straggler factor (the slowest core receives ``1 + imbalance``
+    times the fair share); a launch may still override it per call.
+    """
+
+    tasklets: int = 16
+    sample_size: int = 64
+    transfers: TransferSchedule = TransferSchedule()
+    imbalance: float = 0.0
+
+
 @dataclass(eq=False)
 class TableImage:
     """One built method and everything derived from it, once.
 
     A :class:`~repro.plan.cache.PlanCache` pools one image per table
-    signature and hands it to every plan it compiles over that table —
+    key and hands it to every plan it compiles over that table —
     any placement, tasklet count or system — so each derived fact has
     exactly one cache: the launch evaluator (its memoized passes are
     placement-independent), the path tallies per placement (traced load
@@ -133,8 +151,10 @@ class ExecutionPlan:
 
     Construct via :func:`compile_plan`, :meth:`PIMSystem.plan`, or a
     :class:`~repro.plan.cache.PlanCache` (which additionally pools table
-    images across placements and makes recompilation free).  A plan is
-    reusable and stateful only in caches: ``tally_cache`` (its image's
+    images across placements and makes recompilation free).  Its inputs
+    are the kernel and its table image, the system, the placement and the
+    :class:`LaunchConfig` — exactly what the plan key holds.  Beyond them
+    a plan is stateful only in caches: ``tally_cache`` (its image's
     tallies for the plan's placement) grows with the distinct cost paths
     seen, ``memo`` is the image's caller-owned derived data (e.g. the
     sweep's RMSE evaluation), and ``executions`` counts launches.
@@ -144,12 +164,8 @@ class ExecutionPlan:
         self,
         system: PIMSystem,
         kernel,
+        config: LaunchConfig = LaunchConfig(),
         *,
-        tasklets: int = 16,
-        sample_size: int = 64,
-        transfers: Optional[TransferSchedule] = None,
-        imbalance: float = 0.0,
-        signature: Optional[str] = None,
         image: Optional[TableImage] = None,
     ):
         self.system = system
@@ -160,14 +176,7 @@ class ExecutionPlan:
         self.method = self.image.method
         #: Placement the tables are bound to (None for non-Method kernels).
         self.placement = getattr(self.method, "placement", None)
-        self.tasklets = tasklets
-        self.sample_size = sample_size
-        self.transfers = transfers if transfers is not None \
-            else TransferSchedule()
-        self.imbalance = imbalance
-        #: Stable identity under :class:`~repro.plan.cache.PlanCache`
-        #: (None for ad-hoc plans).
-        self.signature = signature
+        self.config = config
         #: Path key -> traced Tally for this placement, shared with every
         #: plan over the same image and placement (exact by the equal-key
         #: invariant).
@@ -202,12 +211,8 @@ class ExecutionPlan:
         transfer times differ.  The sharded dispatcher uses this to run one
         plan over per-shard DPU groups.
         """
-        return ExecutionPlan(
-            system, self.kernel, tasklets=self.tasklets,
-            sample_size=self.sample_size, transfers=self.transfers,
-            imbalance=self.imbalance, signature=self.signature,
-            image=self.image,
-        )
+        return ExecutionPlan(system, self.kernel, self.config,
+                             image=self.image)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Bit-exact float32 evaluation (the accuracy path; Methods only)."""
@@ -243,8 +248,8 @@ class ExecutionPlan:
         Per-call knobs mirror :meth:`PIMSystem.run`: ``virtual_n`` treats
         ``inputs`` as a sample standing in for that many elements, ``rng``
         seeds the trace-sample draw, and ``imbalance`` overrides the plan's
-        straggler factor for this launch only.  Everything else — transfer
-        schedule, tasklets, sample size — was fixed at compile time.
+        straggler factor for this launch only.  Everything else in the
+        :class:`LaunchConfig` was fixed at compile time.
 
         Launches without a caller ``rng`` are fully deterministic (the
         sample draw is seeded per call), so their results are memoized by
@@ -257,7 +262,7 @@ class ExecutionPlan:
         if rng is not None:
             return self.simulate(inputs, virtual_n=virtual_n, rng=rng,
                                  imbalance=imbalance, span_name=span_name)
-        imb = self.imbalance if imbalance is None else imbalance
+        imb = self.config.imbalance if imbalance is None else imbalance
         memo_key = (array_digest(inputs), inputs.shape, virtual_n, imb)
         cached = self._launch_memo.get(memo_key)
         if cached is not None:
@@ -266,7 +271,7 @@ class ExecutionPlan:
             _metrics.inc("plan.executions")
             _metrics.inc("plan.launch_memo.hits")
             with _span(span_name, n_elements=cached.n_elements,
-                       tasklets=self.tasklets,
+                       tasklets=self.config.tasklets,
                        n_dpus_used=cached.n_dpus_used,
                        cached=True) as run_sp:
                 run_sp.set(sim_seconds=cached.total_seconds)
@@ -294,7 +299,8 @@ class ExecutionPlan:
         results are never looked up again, so hashing their inputs would
         be pure overhead.
         """
-        imb = self.imbalance if imbalance is None else imbalance
+        launch = self.config
+        imb = launch.imbalance if imbalance is None else imbalance
         if imb < 0:
             raise SimulationError("imbalance must be non-negative")
         self._bind_placement()
@@ -305,14 +311,14 @@ class ExecutionPlan:
 
         system = self.system
         config = system.config
-        sched = self.transfers
+        sched = launch.transfers
         per_core = system.elements_per_dpu(n)
         n_used = min(config.n_dpus, -(-n // per_core))
         ranks = sched.transfer_ranks(config, n_used)
         if ranks is not None:
             _metrics.observe("topology.transfer_rank_parallelism", ranks)
 
-        with _span(span_name, n_elements=n, tasklets=self.tasklets,
+        with _span(span_name, n_elements=n, tasklets=launch.tasklets,
                    n_dpus_used=n_used) as run_sp:
             with _span("host_to_pim") as h2p_sp:
                 h2p = sched.scatter_seconds(config, n, ranks=ranks)
@@ -326,8 +332,8 @@ class ExecutionPlan:
                 core_result = system.dpu.run_kernel(
                     self.kernel,
                     inputs,
-                    tasklets=self.tasklets,
-                    sample_size=self.sample_size,
+                    tasklets=launch.tasklets,
+                    sample_size=launch.sample_size,
                     bytes_in_per_element=sched.bytes_in_per_element,
                     bytes_out_per_element=sched.bytes_out_per_element,
                     rng=rng,
@@ -349,17 +355,17 @@ class ExecutionPlan:
                            if sched.include_transfers else 0)
 
             with _span("launch") as l_sp:
-                launch = config.launch_overhead_s
-                l_sp.set(sim_seconds=launch)
+                overhead = config.launch_overhead_s
+                l_sp.set(sim_seconds=overhead)
 
             result = SystemRunResult(
                 n_elements=n,
                 n_dpus_used=n_used,
-                tasklets=self.tasklets,
+                tasklets=launch.tasklets,
                 kernel_seconds=kernel_seconds,
                 host_to_pim_seconds=h2p,
                 pim_to_host_seconds=p2h,
-                launch_seconds=launch,
+                launch_seconds=overhead,
                 per_dpu=core_result,
                 imbalance=imb,
                 virtual_n=virtual_n,
@@ -382,21 +388,20 @@ class ExecutionPlan:
         head = "execution plan"
         if m is not None:
             head += f" {m.method_name}:{m.spec.name}"
-        if self.signature is not None:
-            head += f"  [{self.signature}]"
         cfg = self.system.config
-        sched = self.transfers
+        launch = self.config
+        sched = launch.transfers
         rows = [
             ("kernel", "raw callable" if m is None else "Method.evaluate"),
             ("placement", "-" if self.placement is None
              else self.placement.upper()),
             ("table bytes", self.table_bytes),
-            ("system", f"{cfg.n_dpus} DPUs x {self.tasklets} tasklets"),
+            ("system", f"{cfg.n_dpus} DPUs x {launch.tasklets} tasklets"),
             ("topology", cfg.topology.signature()
              + (" (rank-parallel transfers)" if sched.rank_parallel
                 else "")),
-            ("sample size", self.sample_size),
-            ("imbalance", self.imbalance),
+            ("sample size", launch.sample_size),
+            ("imbalance", launch.imbalance),
             ("transfers",
              f"in {sched.bytes_in_per_element} B/elem, "
              f"out {sched.bytes_out_per_element} B/elem, "
@@ -421,12 +426,8 @@ class ExecutionPlan:
 def compile_plan(
     system: PIMSystem,
     target,
+    config: LaunchConfig = LaunchConfig(),
     *,
-    tasklets: int = 16,
-    sample_size: int = 64,
-    transfers: Optional[TransferSchedule] = None,
-    imbalance: float = 0.0,
-    signature: Optional[str] = None,
     image: Optional[TableImage] = None,
 ) -> ExecutionPlan:
     """Compile ``target`` (a Method or a raw kernel) into an ExecutionPlan.
@@ -434,7 +435,7 @@ def compile_plan(
     For a Method, host-side setup runs here if it has not already — this is
     the one-time table build of Figure 1(c); the returned plan then launches
     without ever rebuilding.  Raw kernels compile to an unclassified plan
-    (scalar-traced, uncacheable by signature) so every existing workload
+    (scalar-traced, with no table key) so every existing workload
     kernel still fits the same pipeline.  ``image`` is the pooled
     :class:`TableImage` of ``target`` (a PlanCache passes its own); without
     one the plan owns a fresh image.
@@ -449,11 +450,7 @@ def compile_plan(
                 method.setup()
                 build_sp.set(table_bytes=method.table_bytes(),
                              entries=method.host_entries())
-        plan = ExecutionPlan(
-            system, kernel, tasklets=tasklets,
-            sample_size=sample_size, transfers=transfers,
-            imbalance=imbalance, signature=signature, image=image,
-        )
+        plan = ExecutionPlan(system, kernel, config, image=image)
         sp.set(table_bytes=plan.table_bytes,
                placement=plan.placement or "-",
                classified=method is not None)

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (host imports this package)
 from repro.plan.cache import PlanCache
 from repro.plan.dispatch import (ShardedRunResult, execute_sharded,
                                  shard_ranges, shard_split)
-from repro.plan.plan import TransferSchedule
+from repro.plan.plan import LaunchConfig
 from repro.plan.schedule import PipelineSchedule, StageItem, schedule_pipeline
 
 __all__ = ["PlanSession", "LaunchRecord", "StreamResult"]
@@ -91,13 +91,14 @@ class PlanSession:
 
     def __init__(self, runtime: Optional["PIMRuntime"] = None,
                  plan_cache: Optional[PlanCache] = None,
-                 tasklets: int = 16, sample_size: int = 64):
+                 config: LaunchConfig = LaunchConfig()):
         from repro.pim.host import PIMRuntime
 
         self.runtime = runtime if runtime is not None else PIMRuntime()
         self.plans = plan_cache if plan_cache is not None else PlanCache()
-        self.tasklets = tasklets
-        self.sample_size = sample_size
+        #: The launch configuration every plan of this session compiles
+        #: under.
+        self.config = config
         self.launches: List[LaunchRecord] = []
         self._stats: Dict[str, _FunctionStats] = {}
 
@@ -119,7 +120,6 @@ class PlanSession:
         shards: int = 1,
         overlap: bool = False,
         virtual_n: Optional[int] = None,
-        transfers: Optional[TransferSchedule] = None,
         workers: Optional[int] = None,
         pool=None,
         start_method: Optional[str] = None,
@@ -137,11 +137,8 @@ class PlanSession:
         ``rank_aligned`` splits shards along the system topology's rank
         boundaries (see :func:`~repro.plan.dispatch.execute_sharded`).
         """
-        fn = self.runtime[name]
-        plan = self.plans.plan(
-            self.runtime.system, fn.method, tasklets=self.tasklets,
-            sample_size=self.sample_size, transfers=transfers,
-        )
+        plan = self.plans.plan(self.runtime.system,
+                               self.runtime[name].method, self.config)
         return self.execute_plan(
             name, plan, inputs, shards=shards, overlap=overlap,
             virtual_n=virtual_n, workers=workers, pool=pool,
@@ -209,7 +206,6 @@ class PlanSession:
         *,
         shards: int = 1,
         virtual_n: Optional[int] = None,
-        transfers: Optional[TransferSchedule] = None,
         workers: Optional[int] = None,
         pool=None,
         start_method: Optional[str] = None,
@@ -260,11 +256,8 @@ class PlanSession:
             with _span("session.stream", launches=len(requests),
                        shards=shards) as sp:
                 for j, (name, inputs) in enumerate(requests):
-                    fn = self.runtime[name]
                     plan = self.plans.plan(
-                        system, fn.method, tasklets=self.tasklets,
-                        sample_size=self.sample_size, transfers=transfers,
-                    )
+                        system, self.runtime[name].method, self.config)
                     if shards > 1:
                         result = execute_sharded(
                             plan, inputs, n_shards=shards, overlap=False,

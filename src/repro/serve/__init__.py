@@ -13,8 +13,7 @@ Entry points: :class:`Server` (+ :class:`ServeConfig`) for embedding,
 """
 
 from repro.serve.admission import AdmissionController
-from repro.serve.keys import (RequestSpec, normalize_request, request_key,
-                              spec_method)
+from repro.serve.keys import RequestSpec, normalize_request, spec_method
 from repro.serve.loadgen import (FAST_PROFILE, MIXED_PROFILE, LoadReport,
                                  TrafficItem, TrafficProfile, run_load,
                                  run_load_async)
@@ -34,7 +33,6 @@ __all__ = [
     "TrafficItem",
     "TrafficProfile",
     "normalize_request",
-    "request_key",
     "run_load",
     "run_load_async",
     "spec_method",

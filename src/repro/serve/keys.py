@@ -1,19 +1,19 @@
 """Normalized request identity: what makes two serving requests coalescible.
 
 Two requests may share one coalesced batch — and therefore one compiled
-:class:`~repro.plan.plan.ExecutionPlan` — exactly when they would compile
-to the same :class:`~repro.plan.cache.PlanKey`: same kernel (function +
+:class:`~repro.plan.plan.ExecutionPlan` — exactly when they compile to
+the same :class:`~repro.plan.cache.PlanKey`: same kernel (function +
 method + every precision knob, q-format included), same placement, same
-system configuration (topology included) and op costs, same launch
-geometry.
+system configuration (topology included) and op costs, same
+:class:`~repro.plan.plan.LaunchConfig`.
 
 A :class:`RequestSpec` is the request-side half of that identity,
 *normalized* so that textually different ways of asking for the same
-kernel collapse onto one key:
+kernel collapse onto one spec:
 
 * constructor knobs are sorted by name and stored as ``(tag, value)``
   typed pairs (the same canonicalization :mod:`repro.plan.cache` uses for
-  plan signatures), so ``{"a": 1, "b": 2}`` and ``{"b": 2, "a": 1}`` are
+  table keys), so ``{"a": 1, "b": 2}`` and ``{"b": 2, "a": 1}`` are
   one spec, numpy scalars collapse onto their python values, and ``1``
   never collides with ``True`` or ``"1"``;
 * fixed-point geometry knobs (``density_log2`` and friends) travel
@@ -22,15 +22,12 @@ kernel collapse onto one key:
 * defaults are applied before normalization, so an explicit
   ``placement="mram"`` equals an omitted one.
 
-The mapping into a :class:`~repro.plan.cache.PlanKey` is total: the spec
-builds an (un-setup) :class:`~repro.core.method.Method` via
-:func:`repro.api.make_method` and keys it with
-:func:`~repro.plan.cache.key_for` — so every field of the plan
-key machinery (table signature, system digest, costs, transfers) is
-inherited rather than re-derived.  The ``cache-key`` lint pass checks this
-module's builders with the same discipline it applies to the plan cache:
-no ``repr()`` components, and every :class:`RequestSpec` field declared in
-the coverage contract mapping it into ``PlanKey`` fields.
+The server keys its lanes by the plan key itself: it builds the spec's
+(un-setup) :class:`~repro.core.method.Method` via :func:`spec_method` and
+calls :func:`~repro.plan.cache.key_for` with the session's launch config
+— the same call its plan compile goes through — so request coalescing
+and plan caching cannot disagree about equality.  Two specs that differ
+in any field never share a key (pinned by ``tests/serve/test_keys.py``).
 """
 
 from __future__ import annotations
@@ -40,11 +37,8 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.method import Method
 from repro.errors import ConfigurationError
-from repro.plan.cache import PlanKey
-from repro.plan.cache import key_for as _plan_key_for
-from repro.plan.plan import TransferSchedule
 
-__all__ = ["RequestSpec", "normalize_request", "spec_method", "request_key"]
+__all__ = ["RequestSpec", "normalize_request", "spec_method"]
 
 #: Tag -> decoder for typed param pairs (inverse of the encoding below).
 _DECODERS = {
@@ -137,29 +131,3 @@ def spec_method(spec: RequestSpec) -> Method:
     return make_method(
         spec.function, spec.method, placement=spec.placement,
         assume_in_range=spec.assume_in_range, **spec.param_kwargs())
-
-
-def request_key(
-    spec: RequestSpec,
-    system,
-    *,
-    tasklets: int = 16,
-    sample_size: int = 64,
-    transfers: Optional[TransferSchedule] = None,
-    imbalance: float = 0.0,
-    method: Optional[Method] = None,
-) -> PlanKey:
-    """The :class:`~repro.plan.cache.PlanKey` this request coalesces under.
-
-    Every component of the plan identity — table signature (function,
-    method, knobs, q-format), placement, system config, op costs, launch
-    geometry, transfer schedule — is derived through the plan
-    cache's own ``key_for``, so request coalescing and plan caching can
-    never disagree about equality.  ``method`` optionally reuses an
-    already-resolved Method (the server memoizes one per spec).
-    """
-    if method is None:
-        method = spec_method(spec)
-    return _plan_key_for(
-        system, method, tasklets=tasklets, sample_size=sample_size,
-        transfers=transfers, imbalance=imbalance)

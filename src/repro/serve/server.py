@@ -8,8 +8,9 @@ individually forfeits both halves — it re-pays setup per cold kernel
 burst and launches tiny batches.  :class:`Server` recovers them:
 
 coalescing
-    Requests are queued per *lane*, keyed by their normalized
-    :class:`~repro.plan.cache.PlanKey` (:mod:`repro.serve.keys`).
+    Requests are queued per *lane*, keyed by the
+    :class:`~repro.plan.cache.PlanKey` their normalized spec
+    (:mod:`repro.serve.keys`) compiles to.
     A per-lane flusher concatenates every request that arrives within a
     micro-batching window (``max_wait`` seconds, capped at ``max_batch``
     requests) into one numpy batch and dispatches it through a single
@@ -47,14 +48,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.method import Method
 from repro.errors import ConfigurationError, ServerClosedError
 from repro.obs import metrics as _metrics
-from repro.plan.cache import PlanKey
+from repro.plan.cache import PlanKey, key_for
 from repro.plan.plan import ExecutionPlan
 from repro.plan.session import PlanSession
 from repro.serve.admission import AdmissionController
-from repro.serve.keys import (RequestSpec, normalize_request, request_key,
-                              spec_method)
+from repro.serve.keys import RequestSpec, normalize_request, spec_method
 from repro.serve.singleflight import SingleFlight
 
 __all__ = ["ServeConfig", "ServeResult", "Server"]
@@ -121,10 +122,12 @@ class _Pending:
 
 @dataclass
 class _Lane:
-    """Per-PlanKey request queue plus its flusher and compiled plan."""
+    """Per-PlanKey request queue: its method, flusher and compiled plan."""
 
     key: PlanKey
     label: str
+    #: The (un-setup until compiled) Method the lane's plan builds from.
+    method: Method
     items: List[_Pending] = field(default_factory=list)
     #: Set whenever items is non-empty (wakes an idle flusher).
     event: asyncio.Event = field(default_factory=asyncio.Event)
@@ -147,8 +150,8 @@ class Server:
             hard_limit=self.config.hard_limit)
         self._flights = SingleFlight()
         self._lanes: Dict[PlanKey, _Lane] = {}
-        self._methods: Dict[RequestSpec, object] = {}
-        self._keys: Dict[RequestSpec, PlanKey] = {}
+        #: spec -> its lane; specs that normalize to one key share a lane.
+        self._spec_lanes: Dict[RequestSpec, _Lane] = {}
         self._outstanding: Dict["asyncio.Future[ServeResult]", None] = {}
         self._closed = False
         #: Lifetime coalescing tallies (also in ``repro.obs.metrics``).
@@ -158,33 +161,21 @@ class Server:
 
     # -- request identity ----------------------------------------------
 
-    def _method_for(self, spec: RequestSpec):
-        method = self._methods.get(spec)
-        if method is None:
-            method = spec_method(spec)
-            self._methods[spec] = method
-        return method
-
-    def _key_for(self, spec: RequestSpec) -> PlanKey:
-        key = self._keys.get(spec)
-        if key is None:
-            key = request_key(
-                spec, self.system, tasklets=self.session.tasklets,
-                sample_size=self.session.sample_size,
-                method=self._method_for(spec))
-            self._keys[spec] = key
-        return key
-
-    def _lane_for(self, key: PlanKey, spec: RequestSpec) -> _Lane:
-        lane = self._lanes.get(key)
+    def _lane_for(self, spec: RequestSpec) -> _Lane:
+        lane = self._spec_lanes.get(spec)
         if lane is None:
-            lane = _Lane(key=key, label=spec.label)
-            self._lanes[key] = lane
+            method = spec_method(spec)
+            key = key_for(self.system, method, self.session.config)
+            lane = self._lanes.get(key)
+            if lane is None:
+                lane = _Lane(key=key, label=spec.label, method=method)
+                self._lanes[key] = lane
+            self._spec_lanes[spec] = lane
         return lane
 
     # -- plan builds (single-flight) -----------------------------------
 
-    async def _plan_for(self, lane: _Lane, spec: RequestSpec) -> ExecutionPlan:
+    async def _plan_for(self, lane: _Lane) -> ExecutionPlan:
         if lane.plan is not None:
             return lane.plan
 
@@ -193,10 +184,8 @@ class Server:
             # reaches the single-flight gate and joins as a follower
             # before the (synchronous) compile runs.
             await asyncio.sleep(0)
-            return self.session.plans.plan(
-                self.system, self._method_for(spec),
-                tasklets=self.session.tasklets,
-                sample_size=self.session.sample_size)
+            return self.session.plans.plan(self.system, lane.method,
+                                           self.session.config)
 
         plan = await self._flights.run(lane.key, build)
         lane.plan = plan
@@ -236,9 +225,8 @@ class Server:
         await self._admission.admit()
         enqueued = False
         try:
-            key = self._key_for(spec)
-            lane = self._lane_for(key, spec)
-            await self._plan_for(lane, spec)
+            lane = self._lane_for(spec)
+            await self._plan_for(lane)
             loop = asyncio.get_running_loop()
             pending = _Pending(spec=spec, xs=xs, future=loop.create_future())
             lane.items.append(pending)

@@ -164,21 +164,11 @@ class AttentionSoftmax:
         (optionally ``overlap``-ped).
         """
         self._require_ready()
-        if shards > 1:
-            res = system.run_sharded(
-                self.kernel, np.asarray(scores, dtype=_F32),
-                shards=shards, overlap=overlap,
-                tasklets=tasklets, sample_size=8,
-                bytes_in_per_element=self.row_len * 4,
-                bytes_out_per_element=self.row_len * 4,
-                virtual_n=virtual_rows,
-            )
-        else:
-            res = system.run(
-                self.kernel, np.asarray(scores, dtype=_F32),
-                tasklets=tasklets, sample_size=8,
-                bytes_in_per_element=self.row_len * 4,
-                bytes_out_per_element=self.row_len * 4,
-                virtual_n=virtual_rows,
-            )
+        res = system.run(
+            self.kernel, np.asarray(scores, dtype=_F32),
+            tasklets=tasklets, sample_size=8,
+            bytes_in_per_element=self.row_len * 4,
+            bytes_out_per_element=self.row_len * 4,
+            virtual_n=virtual_rows, shards=shards, overlap=overlap,
+        )
         return AttentionRunResult(run=res)

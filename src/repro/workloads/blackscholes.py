@@ -426,14 +426,6 @@ class Blackscholes:
         dispatches across disjoint DPU groups (optionally ``overlap``-ped).
         """
         self._require_ready()
-        if shards > 1:
-            return system.run_sharded(
-                self.kernel, batch.records(), shards=shards, overlap=overlap,
-                tasklets=tasklets, sample_size=sample_size,
-                bytes_in_per_element=BYTES_PER_OPTION,
-                bytes_out_per_element=4,
-                virtual_n=virtual_n,
-            )
         return system.run(
             self.kernel,
             batch.records(),
@@ -442,4 +434,6 @@ class Blackscholes:
             bytes_in_per_element=BYTES_PER_OPTION,
             bytes_out_per_element=4,
             virtual_n=virtual_n,
+            shards=shards,
+            overlap=overlap,
         )

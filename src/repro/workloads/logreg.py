@@ -171,19 +171,11 @@ class LogisticRegression:
         """
         self._require_ready()
         bytes_in = self.n_features * 4
-        if shards > 1:
-            res = system.run_sharded(
-                self.kernel, features, shards=shards, overlap=overlap,
-                tasklets=tasklets, sample_size=24,
-                bytes_in_per_element=bytes_in, bytes_out_per_element=4,
-                virtual_n=virtual_n,
-            )
-        else:
-            res = system.run(
-                self.kernel, features, tasklets=tasklets, sample_size=24,
-                bytes_in_per_element=bytes_in, bytes_out_per_element=4,
-                virtual_n=virtual_n,
-            )
+        res = system.run(
+            self.kernel, features, tasklets=tasklets, sample_size=24,
+            bytes_in_per_element=bytes_in, bytes_out_per_element=4,
+            virtual_n=virtual_n, shards=shards, overlap=overlap,
+        )
 
         # Split the per-element slots into dot-product vs sigmoid work.
         ctx = CycleCounter(self.costs)

@@ -122,12 +122,6 @@ class Sigmoid:
         :class:`~repro.plan.dispatch.ShardedRunResult`.
         """
         self._require_ready()
-        if shards > 1:
-            return system.run_sharded(
-                self.kernel, x, shards=shards, overlap=overlap,
-                tasklets=tasklets, sample_size=sample_size,
-                virtual_n=virtual_n,
-            )
         return system.run(
             self.kernel,
             x,
@@ -136,4 +130,6 @@ class Sigmoid:
             bytes_in_per_element=4,
             bytes_out_per_element=4,
             virtual_n=virtual_n,
+            shards=shards,
+            overlap=overlap,
         )

@@ -191,19 +191,11 @@ class Softmax:
         gmax = float(x.max())
 
         def _launch(kernel, sample_size_, bytes_out, include_transfers=True):
-            if shards > 1:
-                return system.run_sharded(
-                    kernel, x, shards=shards, overlap=overlap,
-                    tasklets=tasklets, sample_size=sample_size_,
-                    bytes_in_per_element=4, bytes_out_per_element=bytes_out,
-                    include_transfers=include_transfers,
-                    virtual_n=virtual_n,
-                )
             return system.run(
                 kernel, x, tasklets=tasklets, sample_size=sample_size_,
                 bytes_in_per_element=4, bytes_out_per_element=bytes_out,
                 include_transfers=include_transfers,
-                virtual_n=virtual_n,
+                virtual_n=virtual_n, shards=shards, overlap=overlap,
             )
 
         with _span("workload.softmax", variant=self.variant) as sp:

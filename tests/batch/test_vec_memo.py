@@ -22,7 +22,7 @@ from repro.obs.metrics import collecting
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.plan.cache import PlanCache
-from repro.plan.plan import compile_plan
+from repro.plan.plan import LaunchConfig, compile_plan
 
 _F32 = np.float32
 
@@ -96,8 +96,8 @@ class TestTallyMemo:
         # first traced, and its first launch traces none.
         cache = PlanCache()
         xs = _inputs(400, seed=1)
-        a = cache.plan(system, _method(), tasklets=16)
-        b = cache.plan(system, _method(), tasklets=4)
+        a = cache.plan(system, _method(), LaunchConfig(tasklets=16))
+        b = cache.plan(system, _method(), LaunchConfig(tasklets=4))
         assert a is not b and a.tally_cache is b.tally_cache
         assert a.tally_cache is a.image.tallies["mram"]
         a.execute(xs)
@@ -114,12 +114,12 @@ class TestTallyMemo:
 
     def test_memo_reuse_is_bit_identical_to_fresh_trace(self, system):
         cache = PlanCache()
-        cache.plan(system, _method(), tasklets=16).execute(
+        cache.plan(system, _method(), LaunchConfig(tasklets=16)).execute(
             _inputs(400, seed=10))                        # populate
         xs = _inputs(400, seed=11)
-        reused = cache.plan(system, _method(), tasklets=4)
+        reused = cache.plan(system, _method(), LaunchConfig(tasklets=4))
         served = reused.execute(xs)                       # memo-assisted
-        fresh = compile_plan(system, _method(), tasklets=4)
+        fresh = compile_plan(system, _method(), LaunchConfig(tasklets=4))
         assert fresh.tally_cache is not reused.tally_cache
         assert not fresh.tally_cache                      # full re-trace
         assert _fields(served) == _fields(fresh.execute(xs))

@@ -30,7 +30,7 @@ DEFECTS = textwrap.dedent("""
         metrics.inc("batch." + key)                  # dynamic-metric-name
         metrics.inc(f"batch.path[{key}].count")      # ok: declared family
         metrics.inc("plan.executions")               # ok: declared counter
-        metrics.observe("tablecache.bytes", 2.0)     # ok: declared gauge
+        metrics.observe("serve.coalesce_ratio", 2.0)  # ok: declared gauge
 
 
     def suppressed(metrics):
@@ -73,7 +73,7 @@ class TestSeededDefects:
     def test_used_names_include_literals_and_patterns(self):
         _, used, _ = _violations()
         assert "plan.executions" in used
-        assert "tablecache.bytes" in used
+        assert "serve.coalesce_ratio" in used
         assert "batch.path[*].count" in used
 
     def test_site_stats(self):
@@ -106,7 +106,7 @@ class TestUnusedMetrics:
 class TestCatalog:
     def test_kind_lookup(self):
         assert metric_kind("plan.compiles") == "counter"
-        assert metric_kind("tablecache.bytes") == "gauge"
+        assert metric_kind("serve.coalesce_ratio") == "gauge"
         assert metric_kind("nope") is None
 
     def test_pattern_lookup(self):

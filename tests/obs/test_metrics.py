@@ -99,17 +99,6 @@ class TestInstrumentationSites:
         assert slots == res.tally.slots
         assert counts == res.n
 
-    def test_tablecache_hits_and_misses(self, tmp_path):
-        from repro.api import make_method
-        from repro.core.tablecache import TableCache
-
-        cache = TableCache(tmp_path)
-        with collecting() as reg:
-            cache.setup(make_method("sin", "llut_i", density_log2=8))
-            cache.setup(make_method("sin", "llut_i", density_log2=8))
-        assert reg.value("tablecache.misses") == 1
-        assert reg.value("tablecache.hits") == 1
-
     def test_sweep_plan_cache_metrics(self):
         from repro.analysis.sweep import default_inputs, sweep_method
         from repro.plan.cache import PlanCache

@@ -4,11 +4,11 @@ import pytest
 
 from repro.api import make_method
 from repro.errors import ConfigurationError
-from repro.isa.opcosts import UPMEM_COSTS, OpCosts
+from repro.isa.opcosts import OpCosts
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
-from repro.plan.cache import PlanCache, plan_signature, table_signature
-from repro.plan.plan import TransferSchedule
+from repro.plan.cache import PlanCache, key_for, table_key
+from repro.plan.plan import LaunchConfig, TransferSchedule
 
 
 def _method(method="llut_i", density_log2=8, **kw):
@@ -23,45 +23,86 @@ def system():
 
 class TestSignatures:
     def test_same_geometry_same_table_signature(self):
-        assert table_signature(_method()) == table_signature(_method())
+        assert table_key(_method()) == table_key(_method())
 
     def test_placement_excluded_from_table_signature(self):
-        assert (table_signature(_method(placement="wram"))
-                == table_signature(_method(placement="mram")))
+        assert (table_key(_method(placement="wram"))
+                == table_key(_method(placement="mram")))
 
-    def test_placement_included_in_plan_signature(self):
-        assert (plan_signature(_method(placement="wram"))
-                != plan_signature(_method(placement="mram")))
+    def test_placement_included_in_plan_signature(self, system):
+        assert (key_for(system, _method(placement="wram"))
+                != key_for(system, _method(placement="mram")))
 
     def test_density_distinguishes(self):
-        assert (table_signature(_method(density_log2=8))
-                != table_signature(_method(density_log2=10)))
+        assert (table_key(_method(density_log2=8))
+                != table_key(_method(density_log2=10)))
 
     def test_cordic_iterations_distinguish(self):
-        # cache_signature alone misses constructor knobs like iterations;
-        # the plan signatures must not collide on them.
+        # Constructor knobs like iterations live outside the geometry
+        # record; the table key must not collide on them.
         a = make_method("sin", "cordic", iterations=8)
         b = make_method("sin", "cordic", iterations=16)
-        assert table_signature(a) != table_signature(b)
+        assert table_key(a) != table_key(b)
 
     def test_assume_in_range_distinguishes(self):
         a = make_method("sin", "llut_i", density_log2=8,
                         assume_in_range=True)
         b = make_method("sin", "llut_i", density_log2=8,
                         assume_in_range=False)
-        assert table_signature(a) != table_signature(b)
+        assert table_key(a) != table_key(b)
 
     def test_op_costs_distinguish(self):
         cheap = OpCosts()
         costly = cheap.replace(fp_div=cheap.fp_div + 10)
         a = _method(costs=cheap)
         b = _method(costs=costly)
-        assert table_signature(a) != table_signature(b)
+        assert table_key(a) != table_key(b)
 
     def test_composite_sub_method_knobs_distinguish(self):
         a = make_method("tanh", "dllut_i", mant_bits=8)
         b = make_method("tanh", "dllut_i", mant_bits=10)
-        assert table_signature(a) != table_signature(b)
+        assert table_key(a) != table_key(b)
+
+    def test_stable_across_instances(self):
+        a = make_method("sin", "llut_i", density_log2=10)
+        b = make_method("sin", "llut_i", density_log2=10)
+        assert table_key(a) == table_key(b)
+        assert table_key(a.setup()) == table_key(b)
+
+    def test_differs_by_density(self):
+        a = make_method("sin", "llut_i", density_log2=10)
+        b = make_method("sin", "llut_i", density_log2=12)
+        assert table_key(a) != table_key(b)
+
+    def test_differs_by_function(self):
+        a = make_method("sin", "llut_i", density_log2=10)
+        b = make_method("cos", "llut_i", density_log2=10)
+        assert table_key(a) != table_key(b)
+
+    def test_differs_by_interval(self):
+        # The interval reaches the key only through the geometry record.
+        a = make_method("exp", "llut_i", density_log2=10,
+                        interval=(-1.0, 0.0))
+        b = make_method("exp", "llut_i", density_log2=10,
+                        interval=(-2.0, 0.0))
+        assert table_key(a) != table_key(b)
+
+    def test_differs_by_method(self):
+        a = make_method("sin", "llut", density_log2=10)
+        b = make_method("sin", "llut_i", density_log2=10)
+        assert table_key(a) != table_key(b)
+
+    def test_key_is_typed_tuples(self):
+        # Nested tuples of tagged primitives: no reprs, no digests.
+        def leaves(node):
+            if isinstance(node, tuple):
+                for item in node:
+                    yield from leaves(item)
+            else:
+                yield node
+
+        key = table_key(make_method("tanh", "dllut_i", mant_bits=8))
+        assert all(type(leaf) in (str, int, bool) for leaf in leaves(key))
 
 
 class TestPlanCache:
@@ -80,11 +121,11 @@ class TestPlanCache:
             cache.plan(system, _method(density_log2=10)),
             cache.plan(system, _method(placement="wram")),
             cache.plan(PIMSystem(SystemConfig(n_dpus=8)), _method()),
-            cache.plan(system, _method(), tasklets=4),
-            cache.plan(system, _method(), sample_size=16),
-            cache.plan(system, _method(),
-                       transfers=TransferSchedule(include_transfers=False)),
-            cache.plan(system, _method(), imbalance=0.5),
+            cache.plan(system, _method(), LaunchConfig(tasklets=4)),
+            cache.plan(system, _method(), LaunchConfig(sample_size=16)),
+            cache.plan(system, _method(), LaunchConfig(
+                transfers=TransferSchedule(include_transfers=False))),
+            cache.plan(system, _method(), LaunchConfig(imbalance=0.5)),
             cache.plan(system, _method(costs=OpCosts().replace(fp_div=999))),
         ]
         plans = [base] + variants

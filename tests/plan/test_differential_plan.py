@@ -20,7 +20,7 @@ from repro.core.functions.support import METHOD_SUPPORT
 from repro.errors import ConfigurationError
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
-from repro.plan.plan import compile_plan
+from repro.plan.plan import LaunchConfig, compile_plan
 
 _F32 = np.float32
 
@@ -47,7 +47,7 @@ def _get(function: str, method: str, assume_in_range: bool):
     key = (function, method, assume_in_range)
     if key not in _CACHE:
         m = make_method(function, method, assume_in_range=assume_in_range)
-        _CACHE[key] = (m, compile_plan(_SYSTEM, m, sample_size=48))
+        _CACHE[key] = (m, compile_plan(_SYSTEM, m, LaunchConfig(sample_size=48)))
     return _CACHE[key]
 
 

@@ -10,7 +10,7 @@ from repro.obs.tracer import Tracer, tracing
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.plan.dispatch import execute_sharded, shard_split, spawn_shard_rngs
-from repro.plan.plan import compile_plan
+from repro.plan.plan import LaunchConfig, compile_plan
 
 _F32 = np.float32
 
@@ -245,7 +245,7 @@ class _StubPlan:
 
     def __init__(self, system, queued):
         self.system = system
-        self.tasklets = 12
+        self.config = LaunchConfig(tasklets=12)
         self._queued = list(queued)
 
     def for_system(self, sub):

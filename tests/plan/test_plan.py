@@ -1,6 +1,7 @@
 """Tests for ExecutionPlan compilation and execution."""
 
 import functools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from repro.errors import SimulationError
 from repro.obs.tracer import Tracer, tracing
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
-from repro.plan.plan import TransferSchedule, compile_plan
+from repro.plan.cache import PlanCache, PlanKey
+from repro.plan.plan import LaunchConfig, TransferSchedule, compile_plan
 
 _F32 = np.float32
 
@@ -124,7 +126,7 @@ class TestExecute:
 
     def test_per_launch_imbalance_override(self, system, method, rng):
         xs = rng.uniform(-4, 4, 1000).astype(_F32)
-        plan = compile_plan(system, method, imbalance=0.0)
+        plan = compile_plan(system, method, LaunchConfig(imbalance=0.0))
         base = plan.execute(xs)
         slow = plan.execute(xs, imbalance=0.5)
         assert slow.kernel_seconds == pytest.approx(
@@ -141,7 +143,7 @@ class TestExecute:
     def test_result_records_launch_configuration(self, system, method, rng):
         xs = rng.uniform(-4, 4, 200).astype(_F32)
         sched = TransferSchedule(include_transfers=False, balanced=False)
-        plan = compile_plan(system, method, transfers=sched)
+        plan = compile_plan(system, method, LaunchConfig(transfers=sched))
         r = plan.execute(xs, virtual_n=10_000)
         assert r.virtual_n == 10_000 and r.n_elements == 10_000
         assert r.include_transfers is False
@@ -198,3 +200,90 @@ class TestDescribe:
     def test_describe_raw_kernel(self, system):
         plan = compile_plan(system, identity_kernel)
         assert "raw callable" in plan.describe()
+
+
+#: ExecutionPlan attribute -> the PlanKey fields that key it.
+_KEYED_ATTRS = {
+    "kernel": ("table_key",),
+    "image": ("table_key",),
+    "method": ("table_key",),
+    "placement": ("placement",),
+    "system": ("system", "costs"),
+    "config": ("config",),
+}
+#: Caches of exact results and counters: they never change a number.
+_STATE_ATTRS = {"tally_cache", "memo", "executions", "_launch_memo"}
+
+#: One non-default value per LaunchConfig field.
+_CONFIG_VARIANTS = {
+    "tasklets": 4,
+    "sample_size": 16,
+    "transfers": TransferSchedule(include_transfers=False),
+    "imbalance": 0.5,
+}
+#: TransferSchedule field -> (base schedule, schedule varying that field).
+#: Rank-parallel transfers only relax unbalanced copies.
+_TRANSFER_VARIANTS = {
+    "bytes_in_per_element": ({}, {"bytes_in_per_element": 8}),
+    "bytes_out_per_element": ({}, {"bytes_out_per_element": 8}),
+    "include_transfers": ({}, {"include_transfers": False}),
+    "balanced": ({}, {"balanced": False}),
+    "rank_parallel": ({"balanced": False},
+                      {"balanced": False, "rank_parallel": True}),
+}
+
+
+def _numbers(result):
+    return (result.total_seconds, result.kernel_seconds,
+            result.host_to_pim_seconds, result.pim_to_host_seconds,
+            result.per_dpu.cycles)
+
+
+class TestPlanIdentity:
+    """The plan key covers every input of a plan, and only inputs."""
+
+    @pytest.fixture(scope="class")
+    def paper_system(self):
+        # Thousands of DPUs over many ranks, so every transfer knob shows.
+        return PIMSystem()
+
+    @pytest.fixture(scope="class")
+    def xs(self):
+        # Spans several reduction quadrants: a multi-path input.
+        return np.linspace(-6.0, 6.0, 4096, dtype=_F32)
+
+    def _simulate(self, system, config, xs):
+        m = make_method("sin", "llut_i", density_log2=8,
+                        assume_in_range=False)
+        return _numbers(compile_plan(system, m, config).simulate(xs))
+
+    def test_plan_attributes_are_keyed(self, system, method):
+        cache = PlanCache()
+        config = LaunchConfig(tasklets=8)
+        plan = cache.plan(system, method, config)
+        assert set(vars(plan)) == set(_KEYED_ATTRS) | _STATE_ATTRS
+        assert {f for fs in _KEYED_ATTRS.values() for f in fs} == {
+            f.name for f in fields(PlanKey)}
+        (key,) = cache._plans
+        assert plan.config is key.config
+        clone = plan.for_system(PIMSystem(SystemConfig(n_dpus=8)))
+        assert set(vars(clone)) == set(vars(plan))
+        assert clone.config is plan.config
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(LaunchConfig)])
+    def test_config_field_changes_numbers(self, paper_system, xs, name):
+        base = self._simulate(paper_system, LaunchConfig(), xs)
+        varied = self._simulate(
+            paper_system,
+            replace(LaunchConfig(), **{name: _CONFIG_VARIANTS[name]}), xs)
+        assert varied != base
+
+    @pytest.mark.parametrize("name",
+                             [f.name for f in fields(TransferSchedule)])
+    def test_transfer_field_changes_numbers(self, paper_system, xs, name):
+        base_kw, varied_kw = _TRANSFER_VARIANTS[name]
+        base = self._simulate(paper_system, LaunchConfig(
+            transfers=TransferSchedule(**base_kw)), xs)
+        varied = self._simulate(paper_system, LaunchConfig(
+            transfers=TransferSchedule(**varied_kw)), xs)
+        assert varied != base

@@ -29,7 +29,7 @@ from repro.obs.tracer import Tracer, tracing
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.plan.dispatch import execute_sharded, shard_split
-from repro.plan.plan import compile_plan
+from repro.plan.plan import LaunchConfig, compile_plan
 from repro.plan.pool import ShardPool, active_segments
 from repro.analysis.sweep import default_inputs
 
@@ -48,7 +48,7 @@ def _plan_for(function: str, method: str):
     key = (function, method)
     if key not in _PLANS:
         m = make_method(function, method, assume_in_range=False)
-        _PLANS[key] = compile_plan(_SYSTEM, m, sample_size=48)
+        _PLANS[key] = compile_plan(_SYSTEM, m, LaunchConfig(sample_size=48))
     return _PLANS[key]
 
 
@@ -253,7 +253,7 @@ def _inputs_with_fault(n: int, n_shards: int, shard_k: int,
 
 def _fault_plan():
     # sample_size >= per-shard slice so the sentinel always executes.
-    return compile_plan(_SYSTEM, _fault_kernel, sample_size=64)
+    return compile_plan(_SYSTEM, _fault_kernel, LaunchConfig(sample_size=64))
 
 
 class TestFaultInjection:
@@ -369,11 +369,11 @@ class TestTopologyPlacement:
         bit for bit, and every task is counted as pinned."""
         from repro.pim.config import SystemConfig
         from repro.pim.system import PIMSystem
-        from repro.plan.plan import compile_plan
+        from repro.plan.plan import LaunchConfig, compile_plan
 
         topo_system = PIMSystem(SystemConfig())
         m = make_method("sin", "llut_i", assume_in_range=False)
-        plan = compile_plan(topo_system, m, sample_size=48)
+        plan = compile_plan(topo_system, m, LaunchConfig(sample_size=48))
         xs = _inputs_for("sin", 1200)
         baseline = execute_sharded(plan, xs, n_shards=2, rank_aligned=True)
         pool = ShardPool(2, start_method="fork", timeout=120.0,
@@ -392,11 +392,11 @@ class TestTopologyPlacement:
     def test_pinned_shard_spans_carry_placement_attrs(self):
         from repro.pim.config import SystemConfig
         from repro.pim.system import PIMSystem
-        from repro.plan.plan import compile_plan
+        from repro.plan.plan import LaunchConfig, compile_plan
 
         topo_system = PIMSystem(SystemConfig())
         m = make_method("sin", "llut_i", assume_in_range=False)
-        plan = compile_plan(topo_system, m, sample_size=48)
+        plan = compile_plan(topo_system, m, LaunchConfig(sample_size=48))
         xs = _inputs_for("sin", 1200)
         topo = topo_system.config.topology
         pool = ShardPool(2, start_method="fork", timeout=120.0,

@@ -7,6 +7,7 @@ from repro.api import make_method
 from repro.errors import ConfigurationError
 from repro.obs.metrics import collecting
 from repro.plan.dispatch import ShardedRunResult
+from repro.plan.plan import LaunchConfig
 from repro.plan.session import PlanSession
 
 _F32 = np.float32
@@ -14,7 +15,7 @@ _F32 = np.float32
 
 @pytest.fixture
 def session():
-    s = PlanSession(sample_size=16)
+    s = PlanSession(config=LaunchConfig(sample_size=16))
     s.install(make_method("sin", "llut_i", density_log2=8,
                           assume_in_range=False))
     s.install(make_method("exp", "mlut_i", size=1024,

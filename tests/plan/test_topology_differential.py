@@ -21,7 +21,7 @@ from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.pim.topology import PAPER_TOPOLOGY
 from repro.plan.dispatch import execute_sharded, shard_ranges, shard_split
-from repro.plan.plan import TransferSchedule, compile_plan
+from repro.plan.plan import LaunchConfig, TransferSchedule, compile_plan
 from repro.plan.pool import ShardPool
 
 _F32 = np.float32
@@ -35,8 +35,8 @@ _TOPO = PIMSystem(SystemConfig())
 
 def _plans(function="sin", method="llut_i"):
     m = make_method(function, method, assume_in_range=False)
-    return (compile_plan(_FLAT, m, sample_size=48),
-            compile_plan(_TOPO, m, sample_size=48))
+    return (compile_plan(_FLAT, m, LaunchConfig(sample_size=48)),
+            compile_plan(_TOPO, m, LaunchConfig(sample_size=48)))
 
 
 def _inputs(n=3000, seed=7):
@@ -184,19 +184,19 @@ class TestRankAlignedSharding:
         np.testing.assert_array_equal(result.values, m.evaluate_vec(xs))
 
 
+def _launch(system, m, xs, **schedule):
+    return compile_plan(system, m, LaunchConfig(
+        sample_size=48, transfers=TransferSchedule(**schedule))).execute(xs)
+
+
 class TestRankParallelTransfers:
     def test_unbalanced_scatter_fans_across_ranks(self):
         """Opt-in rank parallelism divides the unbalanced serialization
         by the touched rank count; balanced transfers are untouched."""
         m = make_method("sin", "llut_i", assume_in_range=False)
         xs = _inputs(2000, seed=17)
-        serial = compile_plan(
-            _TOPO, m, sample_size=48,
-            transfers=TransferSchedule(balanced=False)).execute(xs)
-        fanned = compile_plan(
-            _TOPO, m, sample_size=48,
-            transfers=TransferSchedule(balanced=False,
-                                       rank_parallel=True)).execute(xs)
+        serial = _launch(_TOPO, m, xs, balanced=False)
+        fanned = _launch(_TOPO, m, xs, balanced=False, rank_parallel=True)
         ranks = PAPER_TOPOLOGY.ranks_in_range(0, serial.n_dpus_used)
         assert ranks > 1
         assert fanned.host_to_pim_seconds == \
@@ -209,10 +209,8 @@ class TestRankParallelTransfers:
     def test_rank_parallel_noop_on_balanced(self):
         m = make_method("sin", "llut_i", assume_in_range=False)
         xs = _inputs(1500, seed=19)
-        base = compile_plan(_TOPO, m, sample_size=48).execute(xs)
-        rp = compile_plan(
-            _TOPO, m, sample_size=48,
-            transfers=TransferSchedule(rank_parallel=True)).execute(xs)
+        base = _launch(_TOPO, m, xs)
+        rp = _launch(_TOPO, m, xs, rank_parallel=True)
         _assert_results_identical(base, rp)
 
     def test_single_rank_fallback_matches_flat(self):
@@ -221,13 +219,8 @@ class TestRankParallelTransfers:
         m = make_method("sin", "llut_i", assume_in_range=False)
         xs = _inputs(1000, seed=23)
         sys64 = PIMSystem(SystemConfig(n_dpus=64))
-        a = compile_plan(
-            sys64, m, sample_size=48,
-            transfers=TransferSchedule(balanced=False)).execute(xs)
-        b = compile_plan(
-            sys64, m, sample_size=48,
-            transfers=TransferSchedule(balanced=False,
-                                       rank_parallel=True)).execute(xs)
+        a = _launch(sys64, m, xs, balanced=False)
+        b = _launch(sys64, m, xs, balanced=False, rank_parallel=True)
         _assert_results_identical(a, b)
 
 
@@ -254,8 +247,8 @@ def test_default_topology_invisible_full_matrix(method, function):
         m = make_method(function, method, assume_in_range=False)
     except ConfigurationError as exc:
         pytest.skip(f"unsupported configuration: {exc}")
-    flat_plan = compile_plan(_FLAT, m, sample_size=48)
-    topo_plan = compile_plan(_TOPO, m, sample_size=48)
+    flat_plan = compile_plan(_FLAT, m, LaunchConfig(sample_size=48))
+    topo_plan = compile_plan(_TOPO, m, LaunchConfig(sample_size=48))
     xs = _inputs(400, seed=29)
     _assert_results_identical(flat_plan.execute(xs), topo_plan.execute(xs))
     a = execute_sharded(flat_plan, xs, n_shards=2, overlap=True)

@@ -19,7 +19,7 @@ from repro.obs.metrics import collecting
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.plan.cache import PlanCache
-from repro.plan.plan import compile_plan
+from repro.plan.plan import LaunchConfig, compile_plan
 
 _F32 = np.float32
 
@@ -30,10 +30,10 @@ def _method(method="llut_i", **kw):
     return make_method("sin", method, **kw)
 
 
-def _oracle(system, method, **kw):
+def _oracle(system, method, config=LaunchConfig()):
     """The scalar oracle: a raw-kernel plan tracing every sampled element."""
     kernel = functools.partial(Method.evaluate, method.setup())
-    return compile_plan(system, kernel, **kw)
+    return compile_plan(system, kernel, config)
 
 
 @pytest.fixture
@@ -58,8 +58,9 @@ def _result_fields(r):
 
 class TestExecuteEquivalence:
     def test_vec_and_traced_runs_identical(self, system, xs):
-        a = compile_plan(system, _method(), sample_size=64).execute(xs)
-        b = _oracle(system, _method(), sample_size=64).execute(xs)
+        config = LaunchConfig(sample_size=64)
+        a = compile_plan(system, _method(), config).execute(xs)
+        b = _oracle(system, _method(), config).execute(xs)
         assert _result_fields(a) == _result_fields(b)
 
     def test_vec_and_traced_runs_identical_cordic(self, system, xs):

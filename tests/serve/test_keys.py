@@ -1,18 +1,43 @@
 """Request normalization: coalescing identity == plan-cache identity."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.pim.host import PIMRuntime
 from repro.pim.system import PIMSystem
-from repro.plan.cache import PlanCache, key_for
-from repro.serve.keys import (RequestSpec, normalize_request, request_key,
-                              spec_method)
+from repro.plan.cache import key_for
+from repro.plan.plan import LaunchConfig
+from repro.plan.session import PlanSession
+from repro.serve.keys import RequestSpec, normalize_request, spec_method
+from repro.serve.server import Server
 
 
 @pytest.fixture(scope="module")
 def system():
     return PIMSystem()
+
+
+@pytest.fixture
+def server(system):
+    return Server(PlanSession(PIMRuntime(system),
+                              config=LaunchConfig(sample_size=16)))
+
+
+def _key(server, spec):
+    return server._lane_for(spec).key
+
+
+#: One alternative value per RequestSpec field, against llut:sin defaults.
+_SPEC_VARIANTS = {
+    "function": "cos",
+    "method": "llut_i",
+    "params": (("density_log2", ("i", 9)),),
+    "placement": "wram",
+    "assume_in_range": True,
+}
 
 
 class TestNormalization:
@@ -57,44 +82,52 @@ class TestNormalization:
 
 
 class TestRequestKey:
-    def test_matches_plan_cache_key(self, system):
-        """The serve key IS the key PlanCache.plan would use."""
+    def test_matches_plan_cache_key(self, server):
+        """The lane key IS the key PlanCache.plan uses for the lane."""
         spec = normalize_request("sin", "llut_i")
-        method = spec_method(spec)
-        served = request_key(spec, system, method=method)
-        cached = key_for(system, method)
-        assert served == cached
+        lane = server._lane_for(spec)
+        assert lane.key == key_for(server.system, spec_method(spec),
+                                   server.session.config)
+        assert lane.key.config is server.session.config
 
-    def test_key_hits_the_plan_cache(self, system):
+    def test_key_hits_the_plan_cache(self, server):
         spec = normalize_request("sin", "llut_i")
-        cache = PlanCache()
-        method = spec_method(spec)
-        key = request_key(spec, system, method=method)
-        assert key not in cache
-        cache.plan(system, method)
-        assert key in cache
+        cache = server.session.plans
+        lane = server._lane_for(spec)
+        assert lane.key not in cache
+        cache.plan(server.system, lane.method, server.session.config)
+        assert lane.key in cache
 
-    def test_qformat_knobs_split_keys(self, system):
+    def test_qformat_knobs_split_keys(self, server):
         q1 = normalize_request("sin", "llut_fx", {"density_log2": 8})
         q2 = normalize_request("sin", "llut_fx", {"density_log2": 10})
-        k1 = request_key(q1, system)
-        k2 = request_key(q2, system)
+        k1 = _key(server, q1)
+        k2 = _key(server, q2)
         assert k1 != k2
         assert k1.table_key != k2.table_key
 
-    def test_placement_splits_keys(self, system):
+    def test_placement_splits_keys(self, server):
         mram = normalize_request("sin", "llut")
         wram = normalize_request("sin", "llut", placement="wram")
-        k_m = request_key(mram, system)
-        k_w = request_key(wram, system)
+        k_m = _key(server, mram)
+        k_w = _key(server, wram)
         assert k_m != k_w
         # Same table image though: the pool shares the build.
         assert k_m.table_key == k_w.table_key
 
-    def test_assume_in_range_splits_keys(self, system):
+    def test_assume_in_range_splits_keys(self, server):
         air = normalize_request("sin", "llut", assume_in_range=True)
         full = normalize_request("sin", "llut", assume_in_range=False)
-        assert request_key(air, system) != request_key(full, system)
+        assert _key(server, air) != _key(server, full)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RequestSpec)])
+    def test_spec_fields_split_lane_keys(self, server, name):
+        """Two specs differing in any one field never share a lane."""
+        base = normalize_request("sin", "llut")
+        other = replace(base, **{name: _SPEC_VARIANTS[name]})
+        assert other != base
+        assert _key(server, other) != _key(server, base)
+        assert server._lane_for(other) is not server._lane_for(base)
 
     def test_spec_method_validates_support(self):
         spec = RequestSpec(function="sin", method="dlut")

@@ -133,7 +133,7 @@ class TestLint:
         bl.write_text(json.dumps(
             {"schema": "repro-lint-baseline/1", "accepted": []}))
         assert main(["lint", "--strict", "--passes",
-                     "cache-key,determinism,parallel-safety,obs-contract",
+                     "determinism,parallel-safety,obs-contract",
                      "--baseline", str(bl)]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
