@@ -1,6 +1,6 @@
 """Fuzzy lookup-table methods: M-LUT, L-LUT (float and fixed), D-LUT, DL-LUT."""
 
-from repro.core.lut.base import FuzzyLUT, build_fixed_table, build_table
+from repro.core.lut.base import FuzzyLUT, build_table
 from repro.core.lut.dllut import DLLUT, DLLUTInterpolated
 from repro.core.lut.dlut import DLUT, DLUTInterpolated
 from repro.core.lut.llut import LLUT, LLUTFixed, LLUTInterpolated, LLUTInterpolatedFixed
@@ -9,7 +9,6 @@ from repro.core.lut.mlut import MLUT, MLUTInterpolated
 __all__ = [
     "FuzzyLUT",
     "build_table",
-    "build_fixed_table",
     "MLUT",
     "MLUTInterpolated",
     "LLUT",

@@ -13,7 +13,7 @@ pattern (D-LUT), or a composition (DL-LUT).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,78 +21,83 @@ from repro.core.functions.registry import FunctionSpec
 from repro.core.method import Method
 from repro.errors import ConfigurationError
 
-__all__ = ["FuzzyLUT", "build_table", "build_fixed_table"]
+__all__ = ["FuzzyLUT", "build_table"]
 
 _F32 = np.float32
 
+#: Entries per block of a streamed table fill.  Every step of the fill
+#: works entry by entry, so no table depends on it; tests patch it to put
+#: block edges at awkward places.
+_FILL_BLOCK = 1 << 16
 
-def _pad_nonfinite(values: np.ndarray) -> np.ndarray:
-    """Replace non-finite entries with their nearest finite neighbour.
+
+def _pad_nonfinite(table: np.ndarray, bad: np.ndarray) -> None:
+    """Overwrite the entries at ``bad`` (ascending indices) in place with
+    the next finite entry after each, else the table's last finite entry.
 
     Guard entries lie just past the tabulated interval, where the function
     may be undefined (asin beyond 1, atanh at 1, log at 0); padding keeps
     the clamped lookups and interpolation guards well-defined.
     """
-    bad = ~np.isfinite(values)
-    if not np.any(bad):
-        return values
-    good_idx = np.flatnonzero(~bad)
-    if good_idx.size == 0:
-        raise ConfigurationError("table has no finite entries at all")
-    all_idx = np.arange(values.size)
-    nearest = good_idx[np.searchsorted(
-        good_idx, np.clip(all_idx, good_idx[0], good_idx[-1]),
-        side="left").clip(0, good_idx.size - 1)]
-    out = values.copy()
-    out[bad] = values[nearest[bad]]
-    return out
+    # Each run of consecutive bad indices copies the entry after its end;
+    # only the last run can reach the end of the table.
+    ends = np.append(np.flatnonzero(np.diff(bad) != 1), bad.size - 1)
+    src = bad[ends[np.searchsorted(ends, np.arange(bad.size))]] + 1
+    tail = src == table.size
+    if np.any(tail):
+        last = bad[ends[-2] + 1 if ends.size > 1 else 0] - 1
+        if last < 0:
+            raise ConfigurationError("table has no finite entries at all")
+        src[tail] = last
+    table[bad] = table[src]
 
 
 def build_table(
     reference: Callable[[np.ndarray], np.ndarray],
     a_inv: Callable[[np.ndarray], np.ndarray],
     entries: int,
+    frac_bits: Optional[int] = None,
 ) -> np.ndarray:
     """Host-side table generation: ``table[i] = f(a_inv(i))`` in float64.
 
-    The result is rounded once to float32 for PIM storage — the only place
-    precision is lost, which is what lets interpolated tables approach the
-    float32 accuracy floor the paper observes (~1e-9 RMSE).
+    Each entry is rounded once for PIM storage: to float32, or with
+    ``frac_bits`` to a saturated fixed-point int32 raw word.  That is the
+    only place precision is lost, which is what lets interpolated tables
+    approach the float32 accuracy floor the paper observes (~1e-9 RMSE).
+
+    The fill streams ``_FILL_BLOCK`` indices at a time straight into the
+    final table, so a build holds one table plus one block of float64
+    scratch (d22 tables reach 26M entries).  Non-finite entries are zeroed
+    before any cast and padded afterwards by :func:`_pad_nonfinite`;
+    every step works entry by entry, so the blocking changes no bit.
     """
     if entries < 2:
         raise ConfigurationError("a lookup table needs at least two entries")
-    idx = np.arange(entries, dtype=np.float64)
-    points = np.asarray(a_inv(idx), dtype=np.float64)
-    with np.errstate(all="ignore"):  # guard entries may leave the domain
-        values = np.asarray(reference(points), dtype=np.float64)
-    values = _pad_nonfinite(values)
-    return values.astype(_F32)
-
-
-def build_fixed_table(
-    reference: Callable[[np.ndarray], np.ndarray],
-    a_inv: Callable[[np.ndarray], np.ndarray],
-    entries: int,
-    frac_bits: int,
-) -> np.ndarray:
-    """Like :func:`build_table` but quantized to fixed-point raw words."""
-    if entries < 2:
-        raise ConfigurationError("a lookup table needs at least two entries")
-    idx = np.arange(entries, dtype=np.float64)
-    points = np.asarray(a_inv(idx), dtype=np.float64)
-    with np.errstate(all="ignore"):
-        values = np.asarray(reference(points), dtype=np.float64)
-    values = _pad_nonfinite(values)
-    # Quantize in place: these tables reach 2^22+ entries and a sweep builds
-    # dozens, so the intermediate arrays dominate build time.
-    raw = values * float(1 << frac_bits)
-    np.round(raw, out=raw)
-    # Saturate (don't wrap) at the 32-bit storage word: guard entries just
-    # past the tabulated interval can exceed it (gelu's open bound at 8.0
-    # rounds to exactly 2^31), and a two's-complement wrap would turn them
-    # into huge negative table values.
-    np.clip(raw, -(2 ** 31), 2 ** 31 - 1, out=raw)
-    return raw.astype(np.int64)
+    table = np.empty(entries, dtype=_F32 if frac_bits is None else np.int32)
+    bad = []
+    for start in range(0, entries, _FILL_BLOCK):
+        idx = np.arange(start, min(start + _FILL_BLOCK, entries),
+                        dtype=np.float64)
+        points = np.asarray(a_inv(idx), dtype=np.float64)
+        with np.errstate(all="ignore"):  # guard entries may leave the domain
+            values = np.asarray(reference(points), dtype=np.float64)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad.append(start + np.flatnonzero(~finite))
+            values = np.where(finite, values, 0.0)
+        if frac_bits is not None:
+            values = values * float(1 << frac_bits)
+            np.round(values, out=values)
+            # Saturate (don't wrap) at the 32-bit storage word: guard
+            # entries just past the tabulated interval can exceed it
+            # (gelu's open bound at 8.0 rounds to exactly 2^31), and a
+            # two's-complement wrap would turn them into huge negative
+            # table values.
+            np.clip(values, -(2 ** 31), 2 ** 31 - 1, out=values)
+        table[start:start + values.size] = values
+    if bad:
+        _pad_nonfinite(table, np.concatenate(bad))
+    return table
 
 
 class FuzzyLUT(Method):
@@ -100,7 +105,9 @@ class FuzzyLUT(Method):
 
     Subclasses populate ``self._table`` (and friends) in ``_build`` and
     implement the traced address generation (``core_eval``) and its array
-    pass (``core_vec``).
+    pass (``core_vec``).  Composites (tan's quotient, the DL-LUT) build
+    their sub-tables instead, keep no combined copy, and override
+    ``entries`` with the sum.
     """
 
     #: Bytes per stored entry (float32 or 32-bit fixed raw word).

@@ -64,11 +64,11 @@ class _DLLUTBase(FuzzyLUT):
     def _build(self) -> None:
         self.low.setup()
         self.high.setup()
-        # Keep a combined view so ``entries`` reflects total footprint.
-        self._table = np.concatenate([self.low._table, self.high._table])
 
-    def table_bytes(self) -> int:
-        return self.low.table_bytes() + self.high.table_bytes()
+    @property
+    def entries(self) -> int:
+        """Entries of both sub-tables (no combined copy is kept)."""
+        return self.low.entries + self.high.entries
 
     def planned_table_bytes(self):
         low = self.low.planned_table_bytes()
@@ -81,9 +81,6 @@ class _DLLUTBase(FuzzyLUT):
         super().set_placement(placement)
         self.low.set_placement(placement)
         self.high.set_placement(placement)
-
-    def host_entries(self) -> int:
-        return self.low.entries + self.high.entries
 
     def core_eval(self, ctx: CycleCounter, u):
         if ctx.fcmp(u, self.boundary) < 0:

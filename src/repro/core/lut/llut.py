@@ -35,7 +35,7 @@ from repro.batch.keys import (
 )
 from repro.core.functions.registry import FunctionSpec
 from repro.core.ldexp import ldexpf_vec
-from repro.core.lut.base import FuzzyLUT, build_fixed_table, build_table
+from repro.core.lut.base import FuzzyLUT, build_table
 from repro.errors import ConfigurationError
 from repro.fixedpoint import Q3_28, fx_mul, fx_mul_vec
 from repro.isa.counter import CycleCounter
@@ -287,11 +287,10 @@ class _FixedLLUT(FuzzyLUT):
         self.geom = _FixedGeometry(spec, density_log2, interval)
 
     def _build(self) -> None:
-        raw = build_fixed_table(
+        self._table = build_table(
             self.spec.reference, self.geom.a_inv,
             self.geom.entries, self.geom.fmt.frac_bits,
         )
-        self._table = raw.astype(np.int32)
 
     def planned_table_bytes(self) -> int:
         return self.geom.entries * self.ENTRY_BYTES

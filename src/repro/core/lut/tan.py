@@ -50,7 +50,11 @@ class TanQuotientLUT(FuzzyLUT):
     def _build(self) -> None:
         self.sin_m.setup()
         self.cos_m.setup()
-        self._table = np.concatenate([self.sin_m._table, self.cos_m._table])
+
+    @property
+    def entries(self) -> int:
+        """Entries of both factor tables (no combined copy is kept)."""
+        return self.sin_m.entries + self.cos_m.entries
 
     def table_bytes(self) -> int:
         return self.sin_m.table_bytes() + self.cos_m.table_bytes()

@@ -89,8 +89,14 @@ class Method(ABC):
 
         Placing into a region enforces the capacity constraint that caps
         non-interpolated LUT accuracy in the paper (Observation 4/Figure 7).
-        Returns ``self`` for chaining.
+        A table whose :meth:`planned_table_bytes` cannot fit is refused
+        before it is built, and the method stays unbuilt.  Returns ``self``
+        for chaining.
         """
+        if memory is not None:
+            planned = self.planned_table_bytes()
+            if planned is not None:
+                memory.check_fit(planned, self._alloc_label())
         self._build()
         self._ready = True
         if memory is not None:

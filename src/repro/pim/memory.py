@@ -67,8 +67,10 @@ class MemoryRegion:
         rem = nbytes % self.ALIGNMENT
         return nbytes if rem == 0 else nbytes + (self.ALIGNMENT - rem)
 
-    def allocate(self, nbytes: int, label: str) -> Allocation:
-        """Reserve ``nbytes`` (rounded up to alignment) under ``label``."""
+    def check_fit(self, nbytes: int, label: str) -> int:
+        """Raise :class:`MemoryLayoutError` unless :meth:`allocate` of
+        ``nbytes`` under ``label`` would succeed now; return its aligned size.
+        """
         if nbytes < 0:
             raise MemoryLayoutError(f"{self.name}: negative allocation size")
         size = self._aligned(nbytes)
@@ -77,6 +79,11 @@ class MemoryRegion:
                 f"{self.name}: allocation {label!r} of {size} bytes does not fit "
                 f"({self.free_bytes} bytes free of {self.capacity_bytes})"
             )
+        return size
+
+    def allocate(self, nbytes: int, label: str) -> Allocation:
+        """Reserve ``nbytes`` (rounded up to alignment) under ``label``."""
+        size = self.check_fit(nbytes, label)
         alloc = Allocation(label=label, offset=self._cursor, nbytes=size)
         self._cursor += size
         self._allocations.append(alloc)

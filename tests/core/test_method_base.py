@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.api import make_method
-from repro.errors import ConfigurationError, SimulationError
+from repro.core.functions.support import METHOD_SUPPORT
+from repro.errors import ConfigurationError, MemoryLayoutError, SimulationError
 from repro.isa.counter import CycleCounter
 from repro.isa.opcosts import IDEALIZED_COSTS
 from repro.pim.memory import MemoryRegion
@@ -41,6 +42,42 @@ class TestLifecycle:
         region = MemoryRegion("WRAM", 1024)
         with pytest.raises(Exception):
             m.setup(region)
+
+    def test_oversized_table_refused_before_build(self, monkeypatch):
+        m = make_method("sin", "llut", density_log2=16, placement="wram")
+        builds = []
+        build = m._build
+        monkeypatch.setattr(m, "_build", lambda: builds.append(1) or build())
+        region = MemoryRegion("WRAM", 64 * 1024)
+        with pytest.raises(MemoryLayoutError) as refused:
+            m.setup(region)
+        with pytest.raises(MemoryLayoutError) as allocate:
+            MemoryRegion("WRAM", 64 * 1024).allocate(
+                m.planned_table_bytes(), "llut:sin")
+        assert str(refused.value) == str(allocate.value)
+        assert builds == [] and not m._ready and m._table.size == 0
+        assert region.used_bytes == 0
+
+
+def test_planned_table_bytes_is_unknown_or_exact():
+    """Before setup, every config's planned bytes are ``None`` (known only
+    once built) or exactly its built ``table_bytes()``."""
+    known = unknown = 0
+    for method, functions in sorted(METHOD_SUPPORT.items()):
+        for fn in sorted(functions):
+            for in_range in (True, False):
+                m = make_method(fn, method, assume_in_range=in_range)
+                planned = m.planned_table_bytes()
+                m.setup()
+                if planned is None:
+                    unknown += 1
+                else:
+                    assert planned == m.table_bytes(), (fn, method, in_range)
+                    known += 1
+    # Only the segmented L-LUT (44) and the hyperbolic CORDIC-LUT hybrids
+    # (8) size their tables while building; every other install is refused
+    # before its build when it cannot fit.
+    assert (known, unknown) == (478, 52)
 
 
 class TestOptions:

@@ -38,6 +38,10 @@ class TestInstall:
         big = make_method("sin", "llut", density_log2=16, placement="wram")
         with pytest.raises(MemoryLayoutError):
             runtime.install(big)
+        # Refused before the build: nothing built, allocated or installed.
+        assert not big._ready and big.entries == 0
+        assert runtime.system.dpu.wram.used_bytes == 0
+        assert runtime.functions == []
 
     def test_shared_memory_across_functions(self, runtime):
         runtime.install(make_method("sin", "llut", density_log2=12))
