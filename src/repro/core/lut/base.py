@@ -13,7 +13,9 @@ pattern (D-LUT), or a composition (DL-LUT).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -25,10 +27,19 @@ __all__ = ["FuzzyLUT", "build_table"]
 
 _F32 = np.float32
 
-#: Entries per block of a streamed table fill.  Every step of the fill
-#: works entry by entry, so no table depends on it; tests patch it to put
-#: block edges at awkward places.
+#: Entries in flight across all lanes of a streamed table fill: each of
+#: ``lanes`` threads fills blocks of ``ceil(_FILL_BLOCK / lanes)`` entries.
+#: Every step of the fill works entry by entry, so no table depends on it;
+#: tests patch it to put block edges at awkward places.
 _FILL_BLOCK = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity, read at each call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _pad_nonfinite(table: np.ndarray, bad: np.ndarray) -> None:
@@ -65,38 +76,60 @@ def build_table(
     only place precision is lost, which is what lets interpolated tables
     approach the float32 accuracy floor the paper observes (~1e-9 RMSE).
 
-    The fill streams ``_FILL_BLOCK`` indices at a time straight into the
-    final table, so a build holds one table plus one block of float64
-    scratch (d22 tables reach 26M entries).  Non-finite entries are zeroed
-    before any cast and padded afterwards by :func:`_pad_nonfinite`;
-    every step works entry by entry, so the blocking changes no bit.
+    The fill streams blocks of indices straight into the final table, on
+    ``lanes = min(usable CPUs, ceil(entries / _FILL_BLOCK))`` threads:
+    lane ``k`` fills every ``lanes``-th block of ``ceil(_FILL_BLOCK /
+    lanes)`` entries (disjoint slices, so no lock), and NumPy releases the
+    GIL inside the float64 reference's loops.  A build therefore holds one
+    table plus ``_FILL_BLOCK`` entries of float64 scratch (d22 tables
+    reach 26M entries), and a one-block table fills on the calling thread.
+    Non-finite entries are zeroed before any cast and padded afterwards by
+    :func:`_pad_nonfinite`; every step works entry by entry, so neither
+    the blocks nor the lanes change a bit.
     """
     if entries < 2:
         raise ConfigurationError("a lookup table needs at least two entries")
     table = np.empty(entries, dtype=_F32 if frac_bits is None else np.int32)
-    bad = []
-    for start in range(0, entries, _FILL_BLOCK):
-        idx = np.arange(start, min(start + _FILL_BLOCK, entries),
-                        dtype=np.float64)
-        points = np.asarray(a_inv(idx), dtype=np.float64)
-        with np.errstate(all="ignore"):  # guard entries may leave the domain
-            values = np.asarray(reference(points), dtype=np.float64)
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad.append(start + np.flatnonzero(~finite))
-            values = np.where(finite, values, 0.0)
-        if frac_bits is not None:
-            values = values * float(1 << frac_bits)
-            np.round(values, out=values)
-            # Saturate (don't wrap) at the 32-bit storage word: guard
-            # entries just past the tabulated interval can exceed it
-            # (gelu's open bound at 8.0 rounds to exactly 2^31), and a
-            # two's-complement wrap would turn them into huge negative
-            # table values.
-            np.clip(values, -(2 ** 31), 2 ** 31 - 1, out=values)
-        table[start:start + values.size] = values
+    lanes = min(_usable_cpus(), -(-entries // _FILL_BLOCK))
+    block = -(-_FILL_BLOCK // lanes)
+
+    def fill_lane(lane: int) -> List[np.ndarray]:
+        """Fill every ``lanes``-th block from the ``lane``-th; return the
+        non-finite indices of each."""
+        bad = []
+        for start in range(lane * block, entries, lanes * block):
+            idx = np.arange(start, min(start + block, entries),
+                            dtype=np.float64)
+            points = np.asarray(a_inv(idx), dtype=np.float64)
+            # Guard entries may leave the domain.  errstate is per thread,
+            # so each lane sets its own.
+            with np.errstate(all="ignore"):
+                values = np.asarray(reference(points), dtype=np.float64)
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad.append(start + np.flatnonzero(~finite))
+                values = np.where(finite, values, 0.0)
+            if frac_bits is not None:
+                values = values * float(1 << frac_bits)
+                np.round(values, out=values)
+                # Saturate (don't wrap) at the 32-bit storage word: guard
+                # entries just past the tabulated interval can exceed it
+                # (gelu's open bound at 8.0 rounds to exactly 2^31), and a
+                # two's-complement wrap would turn them into huge negative
+                # table values.
+                np.clip(values, -(2 ** 31), 2 ** 31 - 1, out=values)
+            table[start:start + values.size] = values
+        return bad
+
+    if lanes == 1:
+        bad = fill_lane(0)
+    else:
+        # Joined before returning: no thread outlives the build.
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            bad = [run for lane in pool.map(fill_lane, range(lanes))
+                   for run in lane]
     if bad:
-        _pad_nonfinite(table, np.concatenate(bad))
+        _pad_nonfinite(table, np.sort(np.concatenate(bad)))
     return table
 
 

@@ -90,17 +90,18 @@ class Method(ABC):
         Placing into a region enforces the capacity constraint that caps
         non-interpolated LUT accuracy in the paper (Observation 4/Figure 7).
         A table whose :meth:`planned_table_bytes` cannot fit is refused
-        before it is built, and the method stays unbuilt.  Returns ``self``
-        for chaining.
+        before it is built, and the method stays unbuilt; one sized only by
+        its build is refused after it, and the method is not ready.
+        Returns ``self`` for chaining.
         """
         if memory is not None:
             planned = self.planned_table_bytes()
             if planned is not None:
                 memory.check_fit(planned, self._alloc_label())
         self._build()
-        self._ready = True
         if memory is not None:
             memory.allocate(self.table_bytes(), self._alloc_label())
+        self._ready = True
         return self
 
     def planned_table_bytes(self) -> Optional[int]:

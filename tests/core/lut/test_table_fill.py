@@ -1,15 +1,21 @@
 """The streamed table fill: bit-identical to a one-shot build, one table of
-memory.
+memory, every usable CPU.
 
-``build_table`` fills each table in blocks of ``_FILL_BLOCK`` indices.
-``_one_shot`` below is the builder it replaced, kept as the oracle: it
-holds float64 index, point and value arrays at full table size, pads the
-non-finite values, then rounds them all at once.  Every table method in
-METHOD_SUPPORT must equal it byte for byte at block sizes that are not a
-multiple of any SIMD width, and at a block size of one entry, which puts
-every guard entry in a different block from the entry that pads it.
+``build_table`` fills each table in blocks, striped over up to one lane
+(thread) per usable CPU, with ``_FILL_BLOCK`` entries in flight across
+the lanes.  ``_one_shot`` below is the builder it replaced, kept as the
+oracle: it holds float64 index, point and value arrays at full table
+size, pads the non-finite values, then rounds them all at once.  Every
+table method in METHOD_SUPPORT must equal it byte for byte on 1, 2 and 3
+lanes, at block sizes that are not a multiple of any SIMD width, and at a
+block size of one entry, which puts every guard entry in a different
+block (and, from 3 lanes on, a different lane) from the entry that pads
+it.
 """
 
+import os
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -22,6 +28,18 @@ from repro.core.lut import base, dlut, llut, mlut
 from repro.errors import ConfigurationError
 
 _MIB = 1 << 20
+
+#: Lane counts every oracle test runs at.
+_LANES = (1, 2, 3)
+
+
+def _pin_lanes(monkeypatch, lanes):
+    """Fill on ``lanes`` lanes, or one per block when there are fewer."""
+    monkeypatch.setattr(base, "_usable_cpus", lambda: lanes)
+
+
+def _identity(i):
+    return i
 
 
 def _one_shot(reference, a_inv, entries, frac_bits=None):
@@ -118,28 +136,38 @@ def _assert_fills_match_one_shot(fills, m, label):
 def test_fill_matches_one_shot(fills, monkeypatch, method, block):
     monkeypatch.setattr(base, "_FILL_BLOCK", block)
     largest = 0
-    for fn, name, params in _TABLE_CONFIGS + _DENSE_CONFIGS:
-        if name != method:
-            continue
-        fills.calls.clear()
-        m = make_method(fn, method, **params).setup()
-        _assert_fills_match_one_shot(fills, m, (fn, method, params))
-        largest = max([largest] + [t.size for t in _leaf_tables(m)])
-    assert largest > 2 * block   # some table spans at least three blocks
+    for lanes in _LANES:
+        _pin_lanes(monkeypatch, lanes)
+        for fn, name, params in _TABLE_CONFIGS + _DENSE_CONFIGS:
+            if name != method:
+                continue
+            fills.calls.clear()
+            m = make_method(fn, method, **params).setup()
+            _assert_fills_match_one_shot(fills, m, (fn, method, params, lanes))
+            largest = max([largest] + [t.size for t in _leaf_tables(m)])
+    # Some table spans at least three blocks, so it fills on three lanes.
+    assert largest > 2 * block
 
 
 @pytest.mark.parametrize("fn,method", _GUARD_CONFIGS)
 def test_guard_entries_padded_from_another_block(fills, monkeypatch, fn,
                                                  method):
     # One entry per block: every non-finite run and its pad source (the
-    # next finite entry, else the last one) sit in different blocks.
+    # next finite entry, else the last one) sit in different blocks, and
+    # on 3 lanes in different lanes.
     monkeypatch.setattr(base, "_FILL_BLOCK", 1)
-    m = make_method(fn, method).setup()
-    assert fills.pads and all(1 <= bad.size <= 2 for bad in fills.pads)
-    _assert_fills_match_one_shot(fills, m, (fn, method))
+    for lanes in _LANES:
+        _pin_lanes(monkeypatch, lanes)
+        fills.calls.clear()
+        fills.pads.clear()
+        m = make_method(fn, method).setup()
+        assert fills.pads and all(1 <= bad.size <= 2 for bad in fills.pads)
+        _assert_fills_match_one_shot(fills, m, (fn, method, lanes))
 
 
 def test_atanh_guard_entries_straddle_a_block_edge(fills, monkeypatch):
+    # One lane, so the block edge stays at 3585.
+    _pin_lanes(monkeypatch, 1)
     monkeypatch.setattr(base, "_FILL_BLOCK", 3585)
     m = make_method("atanh", "dlut_i").setup()
     assert m.entries == 3586
@@ -172,17 +200,151 @@ def test_pad_rule_matches_one_shot_on_random_masks(monkeypatch, seed,
     def reference(points):
         return values[points.astype(np.int64)]
 
-    def identity(i):
-        return i
-
-    want = _one_shot(reference, identity, n, frac_bits)
-    for block in (1, 2, 3, 7, n):
-        monkeypatch.setattr(base, "_FILL_BLOCK", block)
-        got = base.build_table(reference, identity, n, frac_bits)
-        assert got.tobytes() == want.tobytes()
+    want = _one_shot(reference, _identity, n, frac_bits)
+    for lanes in _LANES:
+        _pin_lanes(monkeypatch, lanes)
+        for block in (1, 2, 3, 7, n):
+            monkeypatch.setattr(base, "_FILL_BLOCK", block)
+            got = base.build_table(reference, _identity, n, frac_bits)
+            assert got.tobytes() == want.tobytes(), (lanes, block)
     values[:] = np.nan
     with pytest.raises(ConfigurationError, match="no finite entries"):
-        base.build_table(reference, identity, n, frac_bits)
+        base.build_table(reference, _identity, n, frac_bits)
+
+
+@pytest.fixture
+def fill_log(monkeypatch):
+    """A cosine reference that records each block it fills as (first
+    index, size, thread), and a record of every thread started."""
+    log = SimpleNamespace(blocks=[], starts=[])
+    start = threading.Thread.start
+
+    def cos(points):   # with ``_identity``, the points are the indices
+        log.blocks.append((int(points[0]), points.size,
+                           threading.current_thread()))
+        return np.cos(points)
+
+    def recording_start(thread):
+        log.starts.append(thread)
+        start(thread)
+
+    log.cos = cos
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return log
+
+
+@pytest.mark.parametrize("entries", [64, 65, 1000])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_lanes_share_the_entries_in_flight(monkeypatch, fill_log, cpus,
+                                           entries):
+    monkeypatch.setattr(base, "_FILL_BLOCK", 64)
+    _pin_lanes(monkeypatch, cpus)
+    before = threading.active_count()
+    table = base.build_table(fill_log.cos, _identity, entries)
+    assert table.tobytes() == _one_shot(np.cos, _identity, entries).tobytes()
+    # One lane per usable CPU, at most one per 64 entries, each filling
+    # blocks of 64 / lanes entries: every block once.
+    lanes = min(cpus, -(-entries // 64))
+    block = -(-64 // lanes)
+    assert sorted(b[:2] for b in fill_log.blocks) == [
+        (start, min(block, entries - start))
+        for start in range(0, entries, block)]
+    threads = {b[2] for b in fill_log.blocks}
+    if lanes == 1:
+        # A one-block table, or one usable CPU, fills on the caller.
+        assert threads == {threading.current_thread()}
+        assert fill_log.starts == []
+    else:
+        assert threads <= set(fill_log.starts)
+        assert 1 <= len(fill_log.starts) <= lanes
+    # Every lane thread is joined before the build returns.
+    assert not any(thread.is_alive() for thread in fill_log.starts)
+    assert threading.active_count() == before
+
+
+def _raising(points):
+    if 50 in points:   # in lane 2's second block
+        raise RuntimeError("reference failed at 50")
+    return np.cos(points)
+
+
+def _all_nan(points):
+    return np.full_like(points, np.nan)
+
+
+@pytest.mark.parametrize("reference,error,match", [
+    (_raising, RuntimeError, "failed at 50"),
+    (_all_nan, ConfigurationError, "no finite entries")])
+def test_lane_error_reaches_the_caller(monkeypatch, fill_log, reference,
+                                       error, match):
+    monkeypatch.setattr(base, "_FILL_BLOCK", 30)
+    _pin_lanes(monkeypatch, 3)
+    before = threading.active_count()
+    with pytest.raises(error, match=match):
+        base.build_table(reference, _identity, 100)
+    assert fill_log.starts
+    assert not any(thread.is_alive() for thread in fill_log.starts)
+    assert threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("error")
+def test_guard_entries_warn_in_no_lane(monkeypatch):
+    # arcsin is undefined past 1, in every lane; numpy's errstate is per
+    # thread, so each lane must silence its own.
+    monkeypatch.setattr(base, "_FILL_BLOCK", 30)
+    _pin_lanes(monkeypatch, 3)
+
+    def a_inv(i):
+        return i / 50.0
+
+    table = base.build_table(np.arcsin, a_inv, 100)
+    assert table.tobytes() == _one_shot(np.arcsin, a_inv, 100).tobytes()
+
+
+@pytest.mark.parametrize("frac_bits", [None, 28])
+def test_more_lanes_than_cpus_switching_fast_match_one_shot(monkeypatch,
+                                                            frac_bits):
+    # Eight lanes of 8-entry blocks, switched every microsecond: their
+    # slices of the one table are disjoint, so no write is lost.  log of a
+    # sine leaves nine runs of non-finite entries across the lanes, the
+    # first at index 0 and the last at the end of the table.
+    monkeypatch.setattr(base, "_FILL_BLOCK", 64)
+    _pin_lanes(monkeypatch, 8)
+
+    def reference(points):
+        return np.log(np.sin(points))
+
+    def a_inv(i):
+        return i / 400.0
+
+    want = _one_shot(reference, a_inv, 20000, frac_bits)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = base.build_table(reference, a_inv, 20000, frac_bits)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_one_usable_cpu_fills_on_one_lane(monkeypatch, fill_log):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(base, "_FILL_BLOCK", 64)
+    table = base.build_table(fill_log.cos, _identity, 1000)
+    assert table.tobytes() == _one_shot(np.cos, _identity, 1000).tobytes()
+    assert fill_log.blocks == [(start, min(64, 1000 - start),
+                                threading.current_thread())
+                               for start in range(0, 1000, 64)]
+    assert fill_log.starts == []
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert base._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert base._usable_cpus() == 1
 
 
 def _build_peak_excess(m, table_bytes):
@@ -202,8 +364,10 @@ def _build_peak_excess(m, table_bytes):
 
 
 @pytest.mark.parametrize("method", ["llut", "llut_fx"])
-def test_build_peak_is_one_table_plus_a_block(method):
-    # 2^18 grid points per unit over sin's [0, 2 pi): a 6.3 MiB table.
+def test_build_peak_is_one_table_plus_a_block(monkeypatch, method):
+    # 2^18 grid points per unit over sin's [0, 2 pi): a 6.3 MiB table.  Four
+    # lanes share the one block in flight.
+    _pin_lanes(monkeypatch, 4)
     m = make_method("sin", method, density_log2=18)
     table_bytes = m.planned_table_bytes()
     assert table_bytes > 6 * _MIB

@@ -58,6 +58,32 @@ class TestLifecycle:
         assert builds == [] and not m._ready and m._table.size == 0
         assert region.used_bytes == 0
 
+    def test_install_refused_after_build_leaves_method_not_ready(self):
+        # The configs sized only by their build (segmented L-LUT, hyperbolic
+        # CORDIC-LUT hybrids) are refused by ``allocate`` after it.
+        refused = 0
+        for method, functions in sorted(METHOD_SUPPORT.items()):
+            for fn in sorted(functions):
+                for in_range in (True, False):
+                    m = make_method(fn, method, assume_in_range=in_range)
+                    if m.planned_table_bytes() is not None:
+                        continue
+                    label = (fn, method, in_range)
+                    region = MemoryRegion("WRAM", 8)
+                    with pytest.raises(MemoryLayoutError):
+                        m.setup(region)
+                    assert not m._ready and region.used_bytes == 0, label
+                    x = np.linspace(*m.spec.natural_range, 101,
+                                    endpoint=False, dtype=np.float32)
+                    with pytest.raises(SimulationError, match="setup"):
+                        m.evaluate_vec(x)
+                    want = make_method(fn, method, assume_in_range=in_range
+                                       ).setup().evaluate_vec(x)
+                    assert m.setup() is m and m._ready, label
+                    assert m.evaluate_vec(x).tobytes() == want.tobytes(), label
+                    refused += 1
+        assert refused == 52
+
 
 def test_planned_table_bytes_is_unknown_or_exact():
     """Before setup, every config's planned bytes are ``None`` (known only
