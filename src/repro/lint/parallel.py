@@ -186,6 +186,7 @@ def default_targets() -> List[Tuple[str, object]]:
     """
     from repro.api import make_method
     from repro.pim.config import SystemConfig
+    from repro.pim.dpu import trace_sample
     from repro.pim.system import PIMSystem
     from repro.pim.topology import PAPER_TOPOLOGY, Topology
     from repro.plan.dispatch import (execute_sharded, shard_split,
@@ -219,22 +220,25 @@ def default_targets() -> List[Tuple[str, object]]:
     sharded = execute_sharded(last_plan, xs, n_shards=2)
     targets.append(("shard_results", sharded.shards))
     # The pooled-dispatch wire artifacts: exactly what execute_sharded
-    # ships across the process boundary when workers are in play.
+    # ships across the process boundary when workers are in play — each
+    # shard's trace sample, drawn in the parent with its spawned
+    # generator, and its element count; no slice, no generator.
+    rngs = spawn_shard_rngs(np.random.default_rng(3), 2)
+    size = last_plan.config.sample_size
     shipment = ship_plan(last_plan)
     try:
         task = ShardTask(
-            shipment=shipment, index=0, n_dpus=4, inputs=xs[:100],
+            shipment=shipment, index=0, n_dpus=4,
+            sample=trace_sample(xs[:100], size, rngs[0]), n_elements=100,
             virtual_n=None, imbalance=None,
-            rng=spawn_shard_rngs(np.random.default_rng(3), 2)[0],
             capture_trace=False, capture_metrics=False,
         )
         targets.append(("pool_shard_task", task))
         targets.append(("pool_shard_task_aligned",
                         ShardTask(
                             shipment=shipment, index=1, n_dpus=4,
-                            inputs=xs[100:], virtual_n=None, imbalance=None,
-                            rng=spawn_shard_rngs(
-                                np.random.default_rng(3), 2)[1],
+                            sample=trace_sample(xs[100:], size, rngs[1]),
+                            n_elements=100, virtual_n=None, imbalance=None,
                             capture_trace=False, capture_metrics=False,
                             dpu_range=(4, 8),
                         )))

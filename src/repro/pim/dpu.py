@@ -28,7 +28,8 @@ from repro.pim.config import DPUConfig, UPMEM_DPU
 from repro.pim.memory import MemoryRegion
 from repro.pim.pipeline import PipelineModel
 
-__all__ = ["DPU", "KernelResult", "STREAM_CHUNK_ELEMS", "LOOP_SLOTS_PER_ELEMENT"]
+__all__ = ["DPU", "KernelResult", "STREAM_CHUNK_ELEMS", "LOOP_SLOTS_PER_ELEMENT",
+           "trace_sample"]
 
 #: Elements moved per MRAM<->WRAM streaming chunk in the benchmark loop.
 STREAM_CHUNK_ELEMS = 256
@@ -39,6 +40,23 @@ STREAM_CHUNK_ELEMS = 256
 LOOP_SLOTS_PER_ELEMENT = 8
 
 Kernel = Callable[[CycleCounter, np.float32], object]
+
+
+def trace_sample(inputs: np.ndarray, sample_size: int,
+                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """The rows of ``inputs`` a launch traces.
+
+    Every row when there are at most ``sample_size``; otherwise
+    ``sample_size`` distinct rows drawn with ``rng`` (a fixed seed when
+    ``None``), kept in input order.  A sample passed back in comes out
+    unchanged, so a launch over a pre-drawn sample traces the same rows.
+    """
+    available = int(inputs.shape[0])
+    if available <= sample_size:
+        return inputs
+    generator = rng or np.random.default_rng(0x7A57)
+    idx = generator.choice(available, size=sample_size, replace=False)
+    return inputs[np.sort(idx)]
 
 
 @dataclass
@@ -130,9 +148,10 @@ class DPU:
     ) -> KernelResult:
         """Simulate running ``kernel`` over ``inputs`` with ``tasklets`` threads.
 
-        A sample of elements (all of them when the array is small) is traced
-        to measure the average per-element instruction tally; the total is an
-        extrapolation plus the streaming costs.  Sampling is sound because
+        A sample of elements (:func:`trace_sample`: all of them when the
+        array is small) is traced to measure the average per-element
+        instruction tally; the total is an extrapolation plus the
+        streaming costs.  Sampling is sound because
         TransPimLib kernels are data-oblivious up to branch direction, and the
         sample preserves the input distribution.
 
@@ -158,14 +177,7 @@ class DPU:
         if n == 0 or inputs.shape[0] == 0:
             raise SimulationError("cannot run a kernel over an empty input array")
 
-        available = int(inputs.shape[0])
-        if available <= sample_size:
-            sample = inputs
-        else:
-            generator = rng or np.random.default_rng(0x7A57)
-            idx = generator.choice(available, size=sample_size, replace=False)
-            sample = inputs[np.sort(idx)]
-
+        sample = trace_sample(inputs, sample_size, rng)
         method = self._batchable_method(kernel)
         with _span("dpu.trace", sample_size=len(sample),
                    batched=method is not None) as trace_sp:

@@ -36,6 +36,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import span as _span
+from repro.pim.dpu import trace_sample
 from repro.pim.system import PIMSystem, SystemRunResult
 from repro.plan.plan import ExecutionPlan
 from repro.plan.schedule import StageItem, schedule_pipeline
@@ -209,24 +210,30 @@ class ShardedRunResult:
         return slowest.result.compute_only_seconds
 
 
-def _shard_inputs(inputs: np.ndarray, counts: Sequence[int],
-                  virtual_n: Optional[int]) -> List[Tuple[np.ndarray, int]]:
-    """Per-shard (array, virtual_n) pairs.
+def _shard_samples(inputs: np.ndarray, counts: Sequence[int],
+                   virtual_n: Optional[int], sample_size: int,
+                   rngs: Sequence[Optional[np.random.Generator]],
+                   ) -> List[Tuple[np.ndarray, Optional[int]]]:
+    """Per-shard (trace sample, virtual_n) pairs, drawn here.
 
-    With ``virtual_n`` the materialized array is a distribution sample, so
-    every shard reuses it whole and sizes itself virtually; otherwise the
-    array is split contiguously.
+    Each shard draws with its own generator from its contiguous slice, or,
+    with ``virtual_n``, from the whole array (a distribution sample every
+    shard reuses while sizing itself virtually).  The draw is the one the
+    shard's own launch would make, so a shard launches over its sample and
+    element count alone: no slice and no generator reach the shard.
     """
     if virtual_n is not None:
-        return [(inputs, c) for c in counts]
+        return [(trace_sample(inputs, sample_size, r), c)
+                for c, r in zip(counts, rngs)]
     out, offset = [], 0
-    for c in counts:
-        out.append((inputs[offset:offset + c], None))
+    for c, r in zip(counts, rngs):
+        out.append((trace_sample(inputs[offset:offset + c], sample_size, r),
+                    None))
         offset += c
     return out
 
 
-def _pooled_shard_runs(plan, split, pieces, imbalances, shard_rngs, *,
+def _pooled_shard_runs(plan, split, samples, imbalances, *,
                        workers, pool, start_method, timeout,
                        dpu_ranges=None, channels=None):
     """Run every shard on a worker pool; graft traces, merge metrics.
@@ -249,8 +256,9 @@ def _pooled_shard_runs(plan, split, pieces, imbalances, shard_rngs, *,
         start_method=start_method, timeout=timeout,
     )
     specs = [
-        (dpus_i, xs_i, vn_i, imbalances[i], shard_rngs[i])
-        for i, ((_, dpus_i), (xs_i, vn_i)) in enumerate(zip(split, pieces))
+        (dpus_i, sample_i, n_i, vn_i, imbalances[i])
+        for i, ((n_i, dpus_i), (sample_i, vn_i))
+        in enumerate(zip(split, samples))
     ]
     try:
         outcomes, _wall = shard_pool.run_shards(
@@ -308,14 +316,17 @@ def execute_sharded(
     per-shard sequence of length ``n_shards``; ``None`` uses the plan's.
     All shard sub-plans share the parent plan's table image, so the scalar
     tracing cost of a cold plan is paid once, not per shard; their
-    launches skip the launch memo (:meth:`ExecutionPlan.simulate`).
+    launches skip the launch memo.
 
     A caller ``rng`` seeds the whole dispatch: it is split into independent
     per-shard child generators (:func:`spawn_shard_rngs`), so every shard's
     sample draw is reproducible from the single seed and independent of
-    shard execution order — the property that lets ``workers``/``pool``
-    lift the shard loop onto a ``multiprocessing`` pool
-    (:mod:`repro.plan.pool`) with bit-identical results.
+    shard execution order.  The draws happen here, before any shard runs
+    (:func:`~repro.pim.dpu.trace_sample`, the draw a plain launch makes),
+    and each shard then launches over its trace sample and element count.
+    That is all ``workers``/``pool`` ship to a ``multiprocessing`` pool
+    (:mod:`repro.plan.pool`): at most ``sample_size`` rows per shard and
+    no generator, with bit-identical results.
 
     ``workers > 1`` runs the shards on a throwaway pool of that many
     processes (``start_method`` picks fork/spawn/forkserver, ``timeout``
@@ -350,9 +361,9 @@ def execute_sharded(
                 f"got {len(imbalances)} imbalance factors for "
                 f"{n_shards} shards")
 
-    counts = [ne for ne, _ in split]
-    pieces = _shard_inputs(inputs, counts, virtual_n)
-    shard_rngs = spawn_shard_rngs(rng, n_shards)
+    samples = _shard_samples(inputs, [ne for ne, _ in split], virtual_n,
+                             plan.config.sample_size,
+                             spawn_shard_rngs(rng, n_shards))
     pooled = pool is not None or (workers is not None and workers > 1)
 
     shards: List[ShardResult] = []
@@ -363,14 +374,14 @@ def execute_sharded(
         if pooled:
             dsp.set(pooled=True)
             handles, runs = _pooled_shard_runs(
-                plan, split, pieces, imbalances, shard_rngs,
+                plan, split, samples, imbalances,
                 workers=workers, pool=pool, start_method=start_method,
                 timeout=timeout, dpu_ranges=dpu_ranges, channels=channels,
             )
         else:
             handles, runs = [], []
-            for i, ((n_i, dpus_i), (xs_i, vn_i)) in enumerate(
-                    zip(split, pieces)):
+            for i, ((n_i, dpus_i), (sample_i, vn_i)) in enumerate(
+                    zip(split, samples)):
                 if rank_aligned:
                     lo, hi = dpu_ranges[i]
                     sub = PIMSystem(system.config.subrange(lo, hi),
@@ -382,8 +393,8 @@ def execute_sharded(
                     attrs = {}
                 with _span("shard", index=i, n_elements=n_i,
                            n_dpus=dpus_i, **attrs) as ssp:
-                    r = plan.for_system(sub).simulate(
-                        xs_i, virtual_n=vn_i, rng=shard_rngs[i],
+                    r = plan.for_system(sub)._simulate_sample(
+                        sample_i, n_i, virtual_n=vn_i,
                         imbalance=imbalances[i], span_name="shard.execute",
                     )
                 handles.append(ssp)

@@ -39,7 +39,7 @@ from repro.errors import SimulationError
 from repro.isa.counter import Tally
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import span as _span
-from repro.pim.dpu import DPU
+from repro.pim.dpu import DPU, trace_sample
 from repro.pim.system import PIMSystem, SystemRunResult
 
 __all__ = ["TransferSchedule", "LaunchConfig", "TableImage", "ExecutionPlan",
@@ -191,7 +191,8 @@ class ExecutionPlan:
         #: is seeded per call, so an identical launch is bit-identical by
         #: construction; the memo skips the whole simulation, not just
         #: tracing.  Per-instance: :meth:`for_system` clones start empty
-        #: and shard sub-launches (:meth:`simulate`) never consult it.
+        #: and shard sub-launches (:meth:`_simulate_sample`) never
+        #: consult it.
         self._launch_memo: "OrderedDict[tuple, SystemRunResult]" \
             = OrderedDict()
 
@@ -295,19 +296,37 @@ class ExecutionPlan:
     ) -> SystemRunResult:
         """One launch, simulated: :meth:`execute` without the launch memo.
 
-        Shard sub-launches and throwaway plans run through here — their
-        results are never looked up again, so hashing their inputs would
-        be pure overhead.
+        Throwaway plans run through here — their results are never looked
+        up again, so hashing their inputs would be pure overhead.
+        """
+        inputs = np.asarray(inputs, dtype=_F32)
+        n = int(virtual_n if virtual_n is not None else inputs.shape[0])
+        if n == 0 or inputs.shape[0] == 0:
+            raise SimulationError("cannot run a system kernel over empty input")
+        return self._simulate_sample(
+            trace_sample(inputs, self.config.sample_size, rng), n,
+            virtual_n=virtual_n, imbalance=imbalance, span_name=span_name)
+
+    def _simulate_sample(
+        self,
+        sample: np.ndarray,
+        n: int,
+        *,
+        virtual_n: Optional[int],
+        imbalance: Optional[float],
+        span_name: str,
+    ) -> SystemRunResult:
+        """:meth:`simulate` over its drawn trace ``sample`` and ``n`` elements.
+
+        Shard sub-launches run through here with the sample their
+        dispatcher drew (:func:`~repro.plan.dispatch.execute_sharded`);
+        ``virtual_n`` is only recorded on the result.
         """
         launch = self.config
         imb = launch.imbalance if imbalance is None else imbalance
         if imb < 0:
             raise SimulationError("imbalance must be non-negative")
         self._bind_placement()
-        inputs = np.asarray(inputs, dtype=_F32)
-        n = int(virtual_n if virtual_n is not None else inputs.shape[0])
-        if n == 0 or inputs.shape[0] == 0:
-            raise SimulationError("cannot run a system kernel over empty input")
 
         system = self.system
         config = system.config
@@ -331,12 +350,11 @@ class ExecutionPlan:
             with _span("kernel") as k_sp:
                 core_result = system.dpu.run_kernel(
                     self.kernel,
-                    inputs,
+                    sample,
                     tasklets=launch.tasklets,
                     sample_size=launch.sample_size,
                     bytes_in_per_element=sched.bytes_in_per_element,
                     bytes_out_per_element=sched.bytes_out_per_element,
-                    rng=rng,
                     virtual_n=n,
                     tally_cache=self.tally_cache,
                     evaluator=self.image.evaluator,

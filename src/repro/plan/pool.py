@@ -10,9 +10,10 @@ slots, tallies, and span-reconciled timings identical to the inline path
 (``tests/plan/test_pool.py`` holds both paths equal across the
 ``METHOD_SUPPORT`` matrix under both ``fork`` and ``spawn``).  That works
 because each shard's execution is a pure function of (plan, shard system,
-input slice, spawned rng child) — the property the PR 5 static gates
-(parallel-safety pickle round-trips, per-shard rng threading, determinism
-lint) established before this module existed.
+trace sample, element count): the parent draws every shard's trace sample
+with that shard's spawned generator before any task ships, so no
+generator crosses the process boundary and a task replays bit-identically
+by construction.
 
 Shipping protocol
 -----------------
@@ -23,9 +24,10 @@ A plan crosses the process boundary **once per pool**, not once per shard:
   ``multiprocessing.shared_memory`` segment — workers map the segment and
   reconstruct the arrays as zero-copy read-only views;
 * each shard task then carries only a tiny :class:`PlanShipment`
-  descriptor (segment name + array offsets) plus its input slice; the
-  first task a worker sees for a given shipment unpickles and caches the
-  plan, later tasks reuse it.
+  descriptor (segment name + array offsets) plus its trace sample (at
+  most ``sample_size`` rows, whatever the shard's element count) and
+  that count; the first task a worker sees for a given shipment
+  unpickles and caches the plan, later tasks reuse it.
 
 Failure discipline
 ------------------
@@ -232,15 +234,20 @@ def load_shipment(shipment: PlanShipment):
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's work order, shipped to a worker per dispatch."""
+    """One shard's work order, shipped to a worker per dispatch.
+
+    ``sample`` is the shard's trace sample, drawn by the dispatcher, and
+    ``n_elements`` the element count it stands for; ``virtual_n`` is only
+    recorded on the result (``None`` for a real slice).
+    """
 
     shipment: PlanShipment
     index: int
     n_dpus: int
-    inputs: np.ndarray
+    sample: np.ndarray
+    n_elements: int
     virtual_n: Optional[int]
     imbalance: Optional[float]
-    rng: Optional[np.random.Generator]
     capture_trace: bool
     capture_metrics: bool
     #: Usable-DPU slice this shard owns (rank-aligned dispatch only).
@@ -288,8 +295,8 @@ def _run_shard_task(task: ShardTask):
         with tracing(tracer) if tracer is not None else _nullcontext():
             with collecting(registry) if registry is not None \
                     else _nullcontext():
-                result = plan.for_system(sub).simulate(
-                    task.inputs, virtual_n=task.virtual_n, rng=task.rng,
+                result = plan.for_system(sub)._simulate_sample(
+                    task.sample, task.n_elements, virtual_n=task.virtual_n,
                     imbalance=task.imbalance, span_name="shard.execute",
                 )
         busy = time.perf_counter() - t0
@@ -460,9 +467,8 @@ class ShardPool:
     def run_shards(
         self,
         plan,
-        specs: Sequence[Tuple[int, np.ndarray, Optional[int],
-                              Optional[float],
-                              Optional[np.random.Generator]]],
+        specs: Sequence[Tuple[int, np.ndarray, int, Optional[int],
+                              Optional[float]]],
         *,
         capture_trace: bool = False,
         capture_metrics: bool = False,
@@ -470,8 +476,12 @@ class ShardPool:
         dpu_ranges: Optional[Sequence[Tuple[int, int]]] = None,
         channels: Optional[Sequence[int]] = None,
     ) -> Tuple[List[ShardOutcome], float]:
-        """Execute every (n_dpus, inputs, virtual_n, imbalance, rng) spec.
+        """Run one shard task per spec on the workers.
 
+        Each spec is ``(n_dpus, sample, n_elements, virtual_n,
+        imbalance)``: a shard of ``n_elements`` on ``n_dpus`` DPUs, priced
+        from the trace ``sample`` its dispatcher drew, with ``virtual_n``
+        recorded on the result and ``imbalance`` overriding the plan's.
         Returns the outcomes in shard order plus the parent-side wall
         seconds of the whole fan-out (for the utilization gauge).  Raises
         :class:`PoolError` on any worker failure after cancelling the
@@ -488,13 +498,13 @@ class ShardPool:
         shipment = self.ship(plan)
         tasks = [
             ShardTask(shipment=shipment, index=i, n_dpus=n_dpus,
-                      inputs=inputs, virtual_n=virtual_n,
-                      imbalance=imbalance, rng=rng,
+                      sample=sample, n_elements=n_elements,
+                      virtual_n=virtual_n, imbalance=imbalance,
                       capture_trace=capture_trace,
                       capture_metrics=capture_metrics,
                       dpu_range=dpu_ranges[i] if dpu_ranges is not None
                       else None)
-            for i, (n_dpus, inputs, virtual_n, imbalance, rng)
+            for i, (n_dpus, sample, n_elements, virtual_n, imbalance)
             in enumerate(specs)
         ]
         n_groups = len(self._executors)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.isa.opcosts import UPMEM_COSTS
-from repro.pim.dpu import DPU, LOOP_SLOTS_PER_ELEMENT
+from repro.pim.dpu import DPU, LOOP_SLOTS_PER_ELEMENT, trace_sample
 
 
 def square_kernel(ctx, x):
@@ -84,6 +84,37 @@ class TestRunKernel:
         xs = rng.uniform(0, 1, 64).astype(np.float32)
         res = dpu.run_kernel(square_kernel, xs)
         assert res.cycles_per_element == pytest.approx(res.cycles / 64)
+
+
+class TestTraceSample:
+    def test_small_arrays_trace_every_row(self, rng):
+        xs = rng.uniform(0, 1, 64).astype(np.float32)
+        assert trace_sample(xs, 64) is xs
+
+    def test_draw_is_sorted_distinct_and_seeded(self):
+        xs = np.arange(1000, dtype=np.float32)
+        a = trace_sample(xs, 32)
+        assert a.shape == (32,)
+        assert np.all(np.diff(a) > 0)  # distinct rows, in input order
+        np.testing.assert_array_equal(a, trace_sample(xs, 32))
+        b = trace_sample(xs, 32, np.random.default_rng(3))
+        np.testing.assert_array_equal(
+            b, trace_sample(xs, 32, np.random.default_rng(3)))
+
+    def test_run_over_drawn_sample_is_bit_identical(self, rng):
+        """A launch over a pre-drawn sample sized with ``virtual_n`` equals
+        the launch over the whole array: the split sharded launches use."""
+        dpu = DPU()
+        xs = rng.uniform(0, 1, 5000).astype(np.float32)
+        whole = dpu.run_kernel(square_kernel, xs, sample_size=48,
+                               rng=np.random.default_rng(8))
+        sample = trace_sample(xs, 48, np.random.default_rng(8))
+        part = dpu.run_kernel(square_kernel, sample, sample_size=48,
+                              virtual_n=len(xs))
+        assert part.cycles == whole.cycles
+        assert part.total_tally == whole.total_tally
+        np.testing.assert_array_equal(part.sample_outputs,
+                                      whole.sample_outputs)
 
 
 class TestMemories:

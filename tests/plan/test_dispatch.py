@@ -251,8 +251,8 @@ class _StubPlan:
     def for_system(self, sub):
         return self
 
-    def simulate(self, xs, *, virtual_n=None, rng=None, imbalance=None,
-                 span_name="plan.execute"):
+    def _simulate_sample(self, sample, n, *, virtual_n, imbalance,
+                         span_name):
         return self._queued.pop(0)
 
 

@@ -14,8 +14,11 @@ and assert the failure surfaces as a clean :class:`repro.errors.PoolError`
 with no orphaned shared-memory segments and no half-aggregated result.
 """
 
+import dataclasses
 import os
+import pickle
 import time
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -78,22 +81,42 @@ def _shard_attrs(tracer):
     return out
 
 
+def _assert_records_equal(a, b) -> None:
+    """Every field of two shard records equal, ``per_dpu``'s included."""
+    for f in dataclasses.fields(a):
+        if f.name != "per_dpu":
+            assert getattr(b, f.name) == getattr(a, f.name), f.name
+    for f in dataclasses.fields(a.per_dpu):
+        va, vb = getattr(a.per_dpu, f.name), getattr(b.per_dpu, f.name)
+        if isinstance(va, np.ndarray):
+            assert vb.dtype == va.dtype
+            np.testing.assert_array_equal(vb, va)
+        else:
+            assert vb == va, f.name
+
+
 def _assert_pool_matches_inline(function: str, method: str, pool,
                                 n: int = 600, n_shards: int = 4,
-                                overlap: bool = True) -> None:
+                                overlap: bool = True,
+                                seed: Optional[int] = 5,
+                                virtual_n: Optional[int] = None) -> None:
+    """Pooled == inline; ``seed=None`` is the default-seed sample draw."""
     plan = _plan_for(function, method)
     xs = _inputs_for(function, n)
+
+    def rng():
+        return None if seed is None else np.random.default_rng(seed)
 
     tr_i = Tracer()
     with tracing(tr_i):
         inline = execute_sharded(plan, xs, n_shards=n_shards,
-                                 overlap=overlap,
-                                 rng=np.random.default_rng(5))
+                                 overlap=overlap, virtual_n=virtual_n,
+                                 rng=rng())
     tr_p = Tracer()
     with tracing(tr_p):
         pooled = execute_sharded(plan, xs, n_shards=n_shards,
-                                 overlap=overlap,
-                                 rng=np.random.default_rng(5), pool=pool)
+                                 overlap=overlap, virtual_n=virtual_n,
+                                 rng=rng(), pool=pool)
 
     # Timings, bit for bit.
     assert pooled.total_seconds == inline.total_seconds
@@ -104,21 +127,17 @@ def _assert_pool_matches_inline(function: str, method: str, pool,
     assert pooled.pim_to_host_seconds == inline.pim_to_host_seconds
     assert pooled.launch_seconds == inline.launch_seconds
 
-    # Per-shard results: values, slots, tallies, timeline offsets.
+    # Per-shard results, every record field: timings, cycles, tallies,
+    # sample outputs, and the launch echo (virtual_n, imbalance, ...).
+    assert pooled.n_dpus_used == inline.n_dpus_used
     assert len(pooled.shards) == len(inline.shards) == n_shards
     for a, b in zip(inline.shards, pooled.shards):
         assert b.n_elements == a.n_elements
         assert b.n_dpus == a.n_dpus
         assert b.start_seconds == a.start_seconds
         assert b.finish_seconds == a.finish_seconds
-        ra, rb = a.result, b.result
-        assert rb.total_seconds == ra.total_seconds
-        assert rb.kernel_seconds == ra.kernel_seconds
-        assert rb.per_dpu.cycles == ra.per_dpu.cycles
-        assert rb.per_dpu.total_tally.slots == ra.per_dpu.total_tally.slots
-        assert rb.per_dpu.total_tally.counts == ra.per_dpu.total_tally.counts
-        np.testing.assert_array_equal(rb.per_dpu.sample_outputs,
-                                      ra.per_dpu.sample_outputs)
+        assert b.result.total_seconds == a.result.total_seconds
+        _assert_records_equal(a.result, b.result)
 
     # Span reconciliation: identical shard attrs, and the grafted worker
     # subtree keeps the inline tree shape (shard > shard.execute).
@@ -144,8 +163,64 @@ def test_pool_matches_inline_fast(function, method, pool):
     _assert_pool_matches_inline(function, method, pool)
 
 
+@pytest.mark.parametrize("function,method", FAST_PAIRS,
+                         ids=[f"{m}-{f}" for f, m in FAST_PAIRS])
+def test_pool_matches_inline_fast_default_seed(function, method, pool):
+    _assert_pool_matches_inline(function, method, pool, seed=None)
+
+
 def test_pool_serial_dispatch_matches(pool):
     _assert_pool_matches_inline("sin", "mlut_i", pool, overlap=False)
+
+
+def test_pool_virtual_n_matches_inline(pool):
+    _assert_pool_matches_inline("sin", "mlut_i", pool, n=200,
+                                virtual_n=90_000)
+
+
+def _record_wire(monkeypatch):
+    """(tasks the pool ships, rows each in-process launch traces)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.batch.vec import VecEvaluator
+
+    tasks, traced = [], []
+    submit, trace = ProcessPoolExecutor.submit, VecEvaluator.run
+
+    def recording_submit(self, fn, task):
+        tasks.append(task)
+        return submit(self, fn, task)
+
+    def recording_run(self, sample, *args, **kwargs):
+        traced.append(np.array(sample, copy=True))
+        return trace(self, sample, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+    monkeypatch.setattr(VecEvaluator, "run", recording_run)
+    return tasks, traced
+
+
+@pytest.mark.parametrize("seed", [None, 5], ids=["default-seed", "rng"])
+def test_tasks_ship_the_inline_trace_sample(seed, pool, monkeypatch):
+    """A shard task is O(sample_size) on the wire and carries exactly the
+    rows the inline shard traces, whatever the shard's element count."""
+    plan = _plan_for("sin", "mlut_i")
+    tasks, traced = _record_wire(monkeypatch)
+    sizes = (1 << 12, 1 << 20)
+    for n in sizes:
+        xs = _inputs_for("sin", n)
+        rngs = [None if seed is None else np.random.default_rng(seed)
+                for _ in range(2)]
+        execute_sharded(plan, xs, n_shards=2, rng=rngs[0])
+        execute_sharded(plan, xs, n_shards=2, rng=rngs[1], pool=pool)
+    assert len(traced) == len(tasks) == 2 * len(sizes)
+    # Only the element count grows: its pickle widens from 2 to 4 bytes.
+    for small, big in zip(tasks[:2], tasks[2:]):
+        assert len(pickle.dumps(big)) <= len(pickle.dumps(small)) + 2
+    for i, (task, rows) in enumerate(zip(tasks, traced)):
+        assert task.sample.shape == (plan.config.sample_size,)
+        np.testing.assert_array_equal(task.sample, rows)
+        assert task.n_elements == sizes[i // 2] // 2
 
 
 # ----------------------------------------------------------------------
