@@ -252,7 +252,7 @@ def _pooled_shard_runs(plan, split, samples, imbalances, *,
     registry = active_metrics()
     owned = pool is None
     shard_pool = pool if pool is not None else _pool_mod.ShardPool(
-        workers if workers is not None else len(split),
+        min(workers, len(split)) if workers is not None else len(split),
         start_method=start_method, timeout=timeout,
     )
     specs = [
@@ -329,8 +329,9 @@ def execute_sharded(
     no generator, with bit-identical results.
 
     ``workers > 1`` runs the shards on a throwaway pool of that many
-    processes (``start_method`` picks fork/spawn/forkserver, ``timeout``
-    bounds the dispatch in wall seconds); passing an existing
+    processes, at most one per shard (``start_method`` picks
+    fork/spawn/forkserver, ``timeout`` bounds the dispatch in wall
+    seconds); passing an existing
     :class:`~repro.plan.pool.ShardPool` as ``pool`` reuses warm workers and
     ships the plan only once across dispatches.  Either way the returned
     :class:`ShardedRunResult`, the ``dispatch.*`` spans and metrics, and

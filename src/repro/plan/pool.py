@@ -29,15 +29,25 @@ A plan crosses the process boundary **once per pool**, not once per shard:
   that count; the first task a worker sees for a given shipment
   unpickles and caches the plan, later tasks reuse it.
 
+Tasks and outcomes travel on pipes, not through an executor: each warm
+worker process owns one duplex ``multiprocessing.Pipe`` and loops
+receive task -> run shard -> send outcome.  The parent keeps at most one
+task in flight per pipe and hands a channel group's next pending shard
+to whichever of that group's workers answers first.
+
 Failure discipline
 ------------------
-A worker that raises ships a structured failure back; a worker that dies
-or hangs is caught by the pool's broken-executor detection or the
-dispatch ``timeout``.  Either way the parent raises a clean
-:class:`repro.errors.PoolError` / :class:`~repro.errors.PoolTimeoutError`,
-unlinks every shared-memory segment it created (``active_segments()`` is
-the test hook proving no orphans), and never returns a half-aggregated
-result.
+A worker that raises ships a structured failure back.  The parent waits
+(``multiprocessing.connection.wait``) on its busy pipes *and* those
+workers' process sentinels under the dispatch ``timeout``, so a worker
+that dies, mid-shard or while idle between dispatches, shows up as EOF
+or a ready sentinel at once, and a hung worker runs out the deadline.
+Any of these raises a clean :class:`repro.errors.PoolError` /
+:class:`~repro.errors.PoolTimeoutError` carrying a shard index, kills
+the workers, unlinks every shared-memory segment the pool created
+(``active_segments()`` is the test hook proving no orphans), and never
+returns a half-aggregated result.  A worker exits on its own when it
+reads ``None`` or EOF, or when its parent process is gone.
 """
 
 from __future__ import annotations
@@ -48,11 +58,11 @@ import os
 import pickle
 import time
 import weakref
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import deque
 from dataclasses import dataclass, replace
-from multiprocessing import get_context, shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from multiprocessing import get_context, parent_process, resource_tracker, shared_memory
+from multiprocessing.connection import wait
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,10 +218,13 @@ _WORKER_PLANS: Dict[str, Tuple[Any, shared_memory.SharedMemory]] = {}
 def load_shipment(shipment: PlanShipment):
     """The shipped plan, unpickled once per process and cached.
 
-    Attaching re-registers the segment with the (shared) resource
-    tracker; that is a set-dedup no-op, and ownership — the unlink duty —
-    stays with the shipping process, which is why nothing is unregistered
-    here (an unregister would strip the owner's entry and make its later
+    Attaching re-registers the segment with the resource tracker.  That
+    is a set-dedup no-op only because the tracker is *shared*:
+    :class:`ShardPool` starts it before its first worker forks (a forked
+    worker without one would start its own, which warns at exit about the
+    segment and unlinks it).  Ownership — the unlink duty — stays with the
+    shipping process, which is why nothing is unregistered here (an
+    unregister would strip the owner's entry and make its later
     ``unlink`` warn).
     """
     cached = _WORKER_PLANS.get(shipment.token)
@@ -324,7 +337,7 @@ class _nullcontext:
 
 
 def _pin_worker(cpus: Tuple[int, ...]) -> None:
-    """Worker initializer: restrict this process to its group's CPUs.
+    """Restrict this worker process to its group's CPUs.
 
     Models NUMA placement — each channel group's workers stay on one CPU
     block so the host-side halves of that channel's transfers keep their
@@ -339,6 +352,42 @@ def _pin_worker(cpus: Tuple[int, ...]) -> None:
         pass
 
 
+def _worker_loop(conn, cpus: Tuple[int, ...]) -> None:
+    """Worker process body: run each task received on ``conn``, send back
+    its outcome, and stop on ``None``, on EOF, or once the parent is gone.
+    """
+    _pin_worker(cpus)
+    watch = [conn, parent_process().sentinel]
+    try:
+        while conn in wait(watch):
+            task = conn.recv()
+            if task is None:
+                return
+            conn.send(_run_shard_task(task))
+    except (EOFError, OSError):  # the parent closed its end or exited
+        return
+
+
+class _Worker:
+    """One warm worker process and the parent's end of its pipe."""
+
+    def __init__(self, ctx, cpus: Tuple[int, ...]):
+        self.conn, child = ctx.Pipe()
+        # Daemonic: a pool never closed cannot hold up interpreter exit.
+        self.process = ctx.Process(target=_worker_loop, args=(child, cpus),
+                                   daemon=True)
+        try:
+            self.process.start()
+        finally:
+            # The worker holds the only other end, so its death reads as
+            # EOF.
+            child.close()
+
+    def send(self, task: Optional[ShardTask]) -> None:
+        """Hand the worker its next task (``None`` asks it to exit)."""
+        self.conn.send(task)
+
+
 # ----------------------------------------------------------------------
 # Parent side: the pool
 
@@ -349,7 +398,8 @@ class ShardPool:
     :func:`~repro.plan.dispatch.execute_sharded` (or hand ``workers=`` and
     let the dispatcher manage a throwaway pool).  Plans are shipped once
     per pool; every dispatch against the same plan object reuses the
-    worker-side caches.
+    worker-side caches.  The worker processes start with the pool and stay
+    warm until :meth:`close`.
 
     ``start_method`` picks the ``multiprocessing`` context (``"fork"``,
     ``"spawn"``, ``"forkserver"``; ``None`` uses the platform default).
@@ -357,7 +407,7 @@ class ShardPool:
     exceeded deadlines raise :class:`~repro.errors.PoolTimeoutError`.
 
     Passing ``topology`` makes the pool NUMA-aware: workers default to
-    one per memory channel, they are partitioned into one executor group
+    one per memory channel, they are partitioned into one worker group
     per channel, and rank-aligned dispatches route each shard to its home
     channel's group (``shard -> worker affinity by channel``).  ``pin``
     additionally restricts each group's workers to a contiguous block of
@@ -366,7 +416,8 @@ class ShardPool:
     before.
 
     A dispatch error closes the pool: worker state is unknown after a
-    crash, and leaving segments mapped would leak them.
+    crash, and leaving segments mapped would leak them.  A pool runs one
+    dispatch at a time; do not share it between threads.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -387,28 +438,32 @@ class ShardPool:
         self.topology = topology
         self.pin = bool(pin)
         n_groups = 1 if topology is None else min(workers, topology.channels)
-        ctx = get_context(start_method) if start_method else None
+        ctx = get_context(start_method)
         cpus = self._host_cpus() if self.pin else ()
         wq, wr = divmod(workers, n_groups)
-        self._executors: List[ProcessPoolExecutor] = []
-        for g in range(n_groups):
-            if self.pin and cpus:
-                # Contiguous CPU blocks per group, remainders to the low
-                # groups — the same convention as the shard splitter.
-                cq, cr = divmod(len(cpus), n_groups)
-                lo = g * cq + min(g, cr)
-                block = tuple(cpus[lo:lo + cq + (1 if g < cr else 0)])
-                init, initargs = _pin_worker, (block,)
-            else:
-                init, initargs = None, ()
-            self._executors.append(ProcessPoolExecutor(
-                max_workers=wq + (1 if g < wr else 0),
-                mp_context=ctx,
-                initializer=init, initargs=initargs,
-            ))
         self._shipments: "weakref.WeakKeyDictionary[Any, PlanShipment]" \
             = weakref.WeakKeyDictionary()
         self._owned: List[PlanShipment] = []
+        # One tracker for the whole pool: see load_shipment.
+        resource_tracker.ensure_running()
+        self._groups: List[List[_Worker]] = []
+        try:
+            for g in range(n_groups):
+                block: Tuple[int, ...] = ()
+                if self.pin and cpus:
+                    # Contiguous CPU blocks per group, remainders to the
+                    # low groups — the same convention as the shard
+                    # splitter.
+                    cq, cr = divmod(len(cpus), n_groups)
+                    lo = g * cq + min(g, cr)
+                    block = tuple(cpus[lo:lo + cq + (1 if g < cr else 0)])
+                group: List[_Worker] = []
+                self._groups.append(group)
+                for _ in range(wq + (1 if g < wr else 0)):
+                    group.append(_Worker(ctx, block))
+        except BaseException:
+            self.close(kill=True)
+            raise
 
     @staticmethod
     def _host_cpus() -> Tuple[int, ...]:
@@ -422,7 +477,7 @@ class ShardPool:
 
     @property
     def closed(self) -> bool:
-        return not self._executors
+        return not self._groups
 
     def __enter__(self) -> "ShardPool":
         return self
@@ -431,22 +486,25 @@ class ShardPool:
         self.close()
 
     def close(self, kill: bool = False) -> None:
-        """Shut the workers down and unlink every shipped segment.
+        """Stop and join the workers and unlink every shipped segment.
 
         ``kill=True`` (the error path) terminates worker processes
         outright instead of letting them drain: a hung or crashed worker
         must not outlive the dispatch that abandoned it.
         """
-        executors, self._executors = self._executors, []
-        for executor in executors:
+        groups, self._groups = self._groups, []
+        workers = [w for group in groups for w in group]
+        for w in workers:
             if kill:
-                procs = list(getattr(executor, "_processes", {}).values())
-                executor.shutdown(wait=False, cancel_futures=True)
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.terminate()
+                w.process.terminate()
             else:
-                executor.shutdown(wait=True, cancel_futures=True)
+                try:
+                    w.send(None)
+                except OSError:  # it already exited
+                    pass
+        for w in workers:
+            w.process.join()
+            w.conn.close()
         for shipment in self._owned:
             unlink_shipment(shipment)
         self._owned.clear()
@@ -484,77 +542,99 @@ class ShardPool:
         recorded on the result and ``imbalance`` overriding the plan's.
         Returns the outcomes in shard order plus the parent-side wall
         seconds of the whole fan-out (for the utilization gauge).  Raises
-        :class:`PoolError` on any worker failure after cancelling the
-        rest and closing the pool — no partial results ever escape.
+        :class:`PoolError` on any worker failure after killing the
+        workers and closing the pool — no partial results ever escape.
 
         ``dpu_ranges`` gives each shard its usable-DPU slice (workers
         build topology-faithful sub-systems from it); ``channels`` gives
-        each shard's home channel, routing it to that channel's executor
+        each shard's home channel, routing it to that channel's worker
         group on a topology-aware pool.
         """
-        if not self._executors:
+        if not self._groups:
             raise PoolError("ShardPool is closed")
         deadline = timeout if timeout is not None else self.timeout
         shipment = self.ship(plan)
-        tasks = [
-            ShardTask(shipment=shipment, index=i, n_dpus=n_dpus,
-                      sample=sample, n_elements=n_elements,
-                      virtual_n=virtual_n, imbalance=imbalance,
-                      capture_trace=capture_trace,
-                      capture_metrics=capture_metrics,
-                      dpu_range=dpu_ranges[i] if dpu_ranges is not None
-                      else None)
-            for i, (n_dpus, sample, n_elements, virtual_n, imbalance)
-            in enumerate(specs)
-        ]
-        n_groups = len(self._executors)
+        n_groups = len(self._groups)
+        queues: List[Deque[ShardTask]] = [deque() for _ in range(n_groups)]
+        for i, (n_dpus, sample, n_elements, virtual_n, imbalance) \
+                in enumerate(specs):
+            group = (channels[i] if channels is not None else i) % n_groups
+            queues[group].append(ShardTask(
+                shipment=shipment, index=i, n_dpus=n_dpus, sample=sample,
+                n_elements=n_elements, virtual_n=virtual_n,
+                imbalance=imbalance, capture_trace=capture_trace,
+                capture_metrics=capture_metrics,
+                dpu_range=dpu_ranges[i] if dpu_ranges is not None
+                else None))
         t0 = time.perf_counter()
         try:
-            futs: List[Future] = [
-                self._executors[
-                    (channels[task.index] if channels is not None
-                     else task.index) % n_groups
-                ].submit(_run_shard_task, task)
-                for task in tasks
-            ]
-        except BrokenExecutor as exc:
-            self.close()
-            raise PoolError(
-                f"worker pool is broken: {type(exc).__name__}: {exc}"
-            ) from exc
-        outcomes: List[ShardOutcome] = []
-        for i, fut in enumerate(futs):
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - (time.perf_counter() - t0))
-            try:
-                got = fut.result(timeout=remaining)
-            except FutureTimeoutError:
-                self.close(kill=True)
-                raise PoolTimeoutError(
-                    f"shard {i} did not complete within {deadline:g}s "
-                    "(worker hung or died mid-shard)", shard_index=i,
-                ) from None
-            except BrokenExecutor as exc:
-                self.close(kill=True)
-                raise PoolError(
-                    f"worker running shard {i} died mid-shard: "
-                    f"{type(exc).__name__}: {exc}", shard_index=i,
-                ) from exc
-            if isinstance(got, _ShardFailure):
-                self.close(kill=True)
-                raise PoolError(
-                    f"shard {got.index} raised in its worker: "
-                    f"{got.exc_type}: {got.message}",
-                    shard_index=got.index,
-                )
-            outcomes.append(got)
+            outcomes = self._drive(queues, deadline, t0)
+        except BaseException:
+            self.close(kill=True)
+            raise
         wall = time.perf_counter() - t0
-        _metrics.inc("dispatch.pool.tasks", len(tasks))
+        _metrics.inc("dispatch.pool.tasks", len(outcomes))
         if self.pin:
-            _metrics.inc("dispatch.pool.pinned", len(tasks))
+            _metrics.inc("dispatch.pool.pinned", len(outcomes))
         busy = sum(o.busy_seconds for o in outcomes)
         if wall > 0.0:
             _metrics.observe("dispatch.pool.worker_utilization",
                              min(1.0, busy / (wall * self.workers)))
         return outcomes, wall
+
+    def _drive(self, queues: List[Deque[ShardTask]],
+               deadline: Optional[float], t0: float) -> List[ShardOutcome]:
+        """Feed each group's queue to its free workers until every shard
+        has an outcome; raise on the first failure, death or timeout."""
+        idle = [list(group) for group in self._groups]
+        busy: Dict[_Worker, Tuple[int, int]] = {}  # -> (group, shard index)
+        outcomes: List[Optional[ShardOutcome]] = \
+            [None] * sum(len(q) for q in queues)
+
+        def feed(g: int) -> None:
+            while queues[g] and idle[g]:
+                worker, task = idle[g].pop(), queues[g].popleft()
+                try:
+                    worker.send(task)
+                except OSError:  # it died idle: the wait below reads EOF
+                    pass
+                busy[worker] = (g, task.index)
+
+        for g in range(len(queues)):
+            feed(g)
+        while busy:
+            remaining = None
+            if deadline is not None:
+                remaining = max(0.0, deadline - (time.perf_counter() - t0))
+            ready = wait([w.conn for w in busy]
+                         + [w.process.sentinel for w in busy], remaining)
+            if not ready:
+                i = outcomes.index(None)
+                raise PoolTimeoutError(
+                    f"shard {i} did not complete within {deadline:g}s "
+                    "(worker hung or died mid-shard)", shard_index=i)
+            for worker, (g, i) in list(busy.items()):
+                # An outcome is in the pipe before its sender's sentinel
+                # can fire, so the pipe is read first.
+                if worker.conn in ready:
+                    try:
+                        got = worker.conn.recv()
+                    except (EOFError, OSError):  # it died
+                        got = None
+                elif worker.process.sentinel in ready:
+                    got = None
+                else:
+                    continue
+                if got is None:
+                    raise PoolError(f"the worker for shard {i} died",
+                                    shard_index=i)
+                if isinstance(got, _ShardFailure):
+                    raise PoolError(
+                        f"shard {got.index} raised in its worker: "
+                        f"{got.exc_type}: {got.message}",
+                        shard_index=got.index)
+                del busy[worker]
+                outcomes[i] = got
+                idle[g].append(worker)
+                feed(g)
+        return outcomes

@@ -225,7 +225,8 @@ class PlanSession:
 
         ``workers``/``pool`` run each launch's shards on a multiprocess
         pool; with bare ``workers`` one pool spans the whole stream, so
-        every distinct plan ships to the workers once.
+        every distinct plan ships to the workers once.  An unsharded
+        stream runs inline and starts no worker.
         """
         requests = list(requests)
         if not requests:
@@ -244,7 +245,8 @@ class PlanSession:
             ranges = [None]  # whole system: every kernel stage conflicts
         stream_pool = pool
         owned = False
-        if stream_pool is None and workers is not None and workers > 1:
+        if (stream_pool is None and shards > 1 and workers is not None
+                and workers > 1):
             from repro.plan.pool import ShardPool
             stream_pool = ShardPool(workers, start_method=start_method,
                                     timeout=timeout)

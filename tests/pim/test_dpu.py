@@ -101,6 +101,24 @@ class TestTraceSample:
         np.testing.assert_array_equal(
             b, trace_sample(xs, 32, np.random.default_rng(3)))
 
+    @pytest.mark.parametrize("rows", [65, 556, 65536, 1 << 19])
+    def test_default_draw_matches_a_fresh_generator(self, rows):
+        """The cached default-seed rows are the rows a freshly seeded
+        generator draws, on the first draw and on the repeats."""
+        xs = np.arange(rows, dtype=np.float32)
+        want = xs[np.sort(np.random.default_rng(0x7A57).choice(
+            rows, size=64, replace=False))]
+        for _ in range(2):
+            np.testing.assert_array_equal(trace_sample(xs, 64), want)
+
+    def test_mutating_a_sample_leaves_the_next_draw(self):
+        xs = np.arange(1000, dtype=np.float32)
+        first = trace_sample(xs, 32)
+        want = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(trace_sample(xs, 32), want)
+        np.testing.assert_array_equal(xs, np.arange(1000, dtype=np.float32))
+
     def test_run_over_drawn_sample_is_bit_identical(self, rng):
         """A launch over a pre-drawn sample sized with ``virtual_n`` equals
         the launch over the whole array: the split sharded launches use."""

@@ -17,6 +17,10 @@ with no orphaned shared-memory segments and no half-aggregated result.
 import dataclasses
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 from typing import Optional
 
@@ -99,9 +103,14 @@ def _assert_pool_matches_inline(function: str, method: str, pool,
                                 n: int = 600, n_shards: int = 4,
                                 overlap: bool = True,
                                 seed: Optional[int] = 5,
-                                virtual_n: Optional[int] = None) -> None:
-    """Pooled == inline; ``seed=None`` is the default-seed sample draw."""
-    plan = _plan_for(function, method)
+                                virtual_n: Optional[int] = None,
+                                plan=None, rank_aligned: bool = False
+                                ) -> Tracer:
+    """Pooled == inline; ``seed=None`` is the default-seed sample draw.
+
+    Returns the pooled dispatch's trace.
+    """
+    plan = plan if plan is not None else _plan_for(function, method)
     xs = _inputs_for(function, n)
 
     def rng():
@@ -111,12 +120,13 @@ def _assert_pool_matches_inline(function: str, method: str, pool,
     with tracing(tr_i):
         inline = execute_sharded(plan, xs, n_shards=n_shards,
                                  overlap=overlap, virtual_n=virtual_n,
-                                 rng=rng())
+                                 rng=rng(), rank_aligned=rank_aligned)
     tr_p = Tracer()
     with tracing(tr_p):
         pooled = execute_sharded(plan, xs, n_shards=n_shards,
                                  overlap=overlap, virtual_n=virtual_n,
-                                 rng=rng(), pool=pool)
+                                 rng=rng(), rank_aligned=rank_aligned,
+                                 pool=pool)
 
     # Timings, bit for bit.
     assert pooled.total_seconds == inline.total_seconds
@@ -145,6 +155,7 @@ def _assert_pool_matches_inline(function: str, method: str, pool,
     for child in tr_p.find("dispatch.run").children:
         if child.name == "shard":
             assert any(c.name == "shard.execute" for c in child.children)
+    return tr_p
 
 
 # ----------------------------------------------------------------------
@@ -180,22 +191,22 @@ def test_pool_virtual_n_matches_inline(pool):
 
 def _record_wire(monkeypatch):
     """(tasks the pool ships, rows each in-process launch traces)."""
-    from concurrent.futures import ProcessPoolExecutor
-
     from repro.batch.vec import VecEvaluator
+    from repro.plan import pool as pool_mod
 
     tasks, traced = [], []
-    submit, trace = ProcessPoolExecutor.submit, VecEvaluator.run
+    send, trace = pool_mod._Worker.send, VecEvaluator.run
 
-    def recording_submit(self, fn, task):
-        tasks.append(task)
-        return submit(self, fn, task)
+    def recording_send(self, task):
+        if task is not None:   # None is close()'s stop message
+            tasks.append(task)
+        return send(self, task)
 
     def recording_run(self, sample, *args, **kwargs):
         traced.append(np.array(sample, copy=True))
         return trace(self, sample, *args, **kwargs)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+    monkeypatch.setattr(pool_mod._Worker, "send", recording_send)
     monkeypatch.setattr(VecEvaluator, "run", recording_run)
     return tasks, traced
 
@@ -402,6 +413,203 @@ class TestFaultInjection:
             execute_sharded(plan, xs, n_shards=2, pool=pool)
 
 
+def _pool_processes(pool):
+    return [w.process for group in pool._groups for w in group]
+
+
+def _shard_spans(tracer):
+    return [c for c in tracer.find("dispatch.run").children
+            if c.name == "shard"]
+
+
+class TestTransport:
+    """Warm workers on one pipe each: scheduling, routing and the ways a
+    dispatch can end."""
+
+    def test_worker_killed_while_idle_fails_the_next_dispatch(self):
+        plan = _plan_for("sin", "mlut_i")
+        xs = _inputs_for("sin", 600)
+        before = active_segments()
+        pool = ShardPool(2, start_method="fork", timeout=60.0)
+        procs = _pool_processes(pool)
+        first = execute_sharded(plan, xs, n_shards=2, pool=pool)
+        assert first.total_seconds == \
+            execute_sharded(plan, xs, n_shards=2).total_seconds
+        os.kill(procs[0].pid, signal.SIGKILL)
+        procs[0].join(timeout=10.0)
+        assert not procs[0].is_alive()
+        t0 = time.monotonic()
+        with pytest.raises(PoolError) as err:
+            execute_sharded(plan, xs, n_shards=2, pool=pool)
+        assert time.monotonic() - t0 < 30.0   # found, not timed out
+        assert not isinstance(err.value, PoolTimeoutError)
+        assert err.value.shard_index in (0, 1)
+        assert pool.closed
+        assert active_segments() == before
+        assert not any(p.is_alive() for p in procs)
+
+    def test_eight_shards_over_two_workers_match_inline(self, pool):
+        tracer = _assert_pool_matches_inline("sin", "mlut_i", pool,
+                                             n_shards=8)
+        pids = {p.pid for p in _pool_processes(pool)}
+        workers = [s.attrs["worker"] for s in _shard_spans(tracer)]
+        assert len(workers) == 8 and set(workers) <= pids
+
+    def test_rank_aligned_shards_run_on_their_channel_group(self):
+        from repro.pim.topology import PAPER_TOPOLOGY
+
+        plan = compile_plan(PIMSystem(SystemConfig()),
+                            make_method("sin", "llut_i",
+                                        assume_in_range=False),
+                            LaunchConfig(sample_size=48))
+        with ShardPool(2, start_method="fork", timeout=120.0,
+                       topology=PAPER_TOPOLOGY) as pool:
+            home = [[w.process.pid for w in group] for group in pool._groups]
+            procs = _pool_processes(pool)
+            tracer = _assert_pool_matches_inline(
+                "sin", "llut_i", pool, n=1200, n_shards=8, plan=plan,
+                rank_aligned=True)
+        assert not any(p.is_alive() for p in procs)
+        shards = _shard_spans(tracer)
+        assert len(shards) == 8
+        assert {s.attrs["channel"] for s in shards} == {0, 1}
+        assert home[0] != home[1]
+        for s in shards:
+            assert [s.attrs["worker"]] == home[s.attrs["channel"]]
+
+    def test_timeout_with_shards_queued_names_lowest_unfinished(self):
+        """Worker A finishes shard 0 and then hangs on shard 2, worker B
+        hangs on shard 1, and shards 3-5 are still queued."""
+        plan = _fault_plan()
+        n, n_shards = 96, 6
+        xs = np.full(n, 0.5, dtype=_F32)
+        split = shard_split(n, _SYSTEM.config.n_dpus, n_shards)
+        starts = np.cumsum([0] + [ne for ne, _ in split])
+        for k in (1, 2):
+            xs[starts[k]:starts[k + 1]] = _F32(_HANG)
+        before = active_segments()
+        pool = ShardPool(2, start_method="fork")
+        procs = _pool_processes(pool)
+        t0 = time.monotonic()
+        with pytest.raises(PoolTimeoutError) as err:
+            execute_sharded(plan, xs, n_shards=n_shards, pool=pool,
+                            timeout=1.5)
+        assert time.monotonic() - t0 < 20.0  # well under the 30s sleep
+        assert err.value.shard_index == 1
+        assert "shard 1 " in str(err.value)
+        assert pool.closed
+        assert active_segments() == before
+        assert not any(p.is_alive() for p in procs)
+
+
+def _record_process_starts(monkeypatch):
+    """Every child process started from here on, by any context."""
+    import multiprocessing.process as mp_process
+
+    started, start = [], mp_process.BaseProcess.start
+
+    def recording_start(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(mp_process.BaseProcess, "start", recording_start)
+    return started
+
+
+class TestOwnedPools:
+    """A pool that a dispatch or a stream builds for itself from bare
+    ``workers`` starts only workers that get a shard."""
+
+    def test_throwaway_pool_starts_one_worker_per_shard(self, monkeypatch):
+        plan = _plan_for("sin", "mlut_i")
+        xs = _inputs_for("sin", 600)
+        inline = execute_sharded(plan, xs, n_shards=2)
+        started = _record_process_starts(monkeypatch)
+        pooled = execute_sharded(plan, xs, n_shards=2, workers=4,
+                                 start_method="fork", timeout=60.0)
+        assert len(started) == 2
+        assert not any(p.is_alive() for p in started)
+        assert pooled.total_seconds == inline.total_seconds
+        for a, b in zip(inline.shards, pooled.shards):
+            _assert_records_equal(a.result, b.result)
+
+    @staticmethod
+    def _stream():
+        from repro.plan.session import PlanSession
+
+        session = PlanSession(config=LaunchConfig(sample_size=48))
+        session.install(make_method("sin", "mlut_i", assume_in_range=False))
+        session.install(make_method("exp", "slut_i", assume_in_range=False))
+        requests = [("mlut_i:sin", _inputs_for("sin", 600)),
+                    ("slut_i:exp", _inputs_for("exp", 300)),
+                    ("mlut_i:sin", _inputs_for("sin", 900))]
+        return session, requests
+
+    @staticmethod
+    def _assert_streams_equal(a, b):
+        assert b.schedule == a.schedule
+        assert [r.simulated_seconds for r in b.records] == \
+            [r.simulated_seconds for r in a.records]
+
+    def test_unsharded_stream_starts_no_worker(self, monkeypatch):
+        session, requests = self._stream()
+        inline = session.launch_stream(requests)
+        started = _record_process_starts(monkeypatch)
+        stream = session.launch_stream(requests, workers=2,
+                                       start_method="fork")
+        assert started == []
+        self._assert_streams_equal(inline, stream)
+
+    def test_sharded_stream_runs_on_one_pool(self, monkeypatch):
+        session, requests = self._stream()
+        before = active_segments()
+        inline = session.launch_stream(requests, shards=2)
+        started = _record_process_starts(monkeypatch)
+        stream = session.launch_stream(requests, shards=2, workers=2,
+                                       start_method="fork", timeout=60.0)
+        assert len(started) == 2
+        assert not any(p.is_alive() for p in started)
+        assert active_segments() == before
+        self._assert_streams_equal(inline, stream)
+        for a, b in zip(inline.results, stream.results):
+            for sa, sb in zip(a.shards, b.shards):
+                _assert_records_equal(sa.result, sb.result)
+
+
+def test_fork_pool_shares_the_resource_tracker():
+    """A fork-started pool's workers register the shipped segment with the
+    parent's tracker, so no worker-side tracker warns at exit about a
+    segment the owner already unlinked."""
+    import repro
+
+    script = textwrap.dedent("""
+        import numpy as np
+        from repro.api import make_method
+        from repro.pim.config import SystemConfig
+        from repro.pim.system import PIMSystem
+        from repro.plan.dispatch import execute_sharded
+        from repro.plan.plan import LaunchConfig, compile_plan
+        from repro.plan.pool import ShardPool, active_segments
+
+        plan = compile_plan(PIMSystem(SystemConfig(n_dpus=64)),
+                            make_method("sin", "mlut_i"),
+                            LaunchConfig(sample_size=48))
+        xs = np.linspace(0.0, 6.0, 600, dtype=np.float32)
+        with ShardPool(2, start_method="fork", timeout=60.0) as pool:
+            execute_sharded(plan, xs, n_shards=4, pool=pool)
+        assert active_segments() == []
+        print("ok")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+
+
 def test_pool_rejects_bad_workers():
     with pytest.raises(ConfigurationError):
         ShardPool(0)
@@ -416,7 +624,7 @@ class TestTopologyPlacement:
         pool = ShardPool(start_method="fork", topology=PAPER_TOPOLOGY)
         try:
             assert pool.workers == PAPER_TOPOLOGY.channels == 2
-            assert len(pool._executors) == 2
+            assert [len(group) for group in pool._groups] == [1, 1]
         finally:
             pool.close()
 
@@ -427,7 +635,7 @@ class TestTopologyPlacement:
     def test_single_group_without_topology(self):
         pool = ShardPool(4, start_method="fork")
         try:
-            assert len(pool._executors) == 1
+            assert [len(group) for group in pool._groups] == [4]
         finally:
             pool.close()
 
@@ -435,7 +643,7 @@ class TestTopologyPlacement:
         from repro.pim.topology import PAPER_TOPOLOGY
         pool = ShardPool(1, start_method="fork", topology=PAPER_TOPOLOGY)
         try:
-            assert len(pool._executors) == 1
+            assert [len(group) for group in pool._groups] == [1]
         finally:
             pool.close()
 
