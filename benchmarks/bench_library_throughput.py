@@ -38,17 +38,18 @@ def test_traced_element_throughput(benchmark, inputs):
 
 
 def test_batched_tally_throughput(benchmark, inputs):
-    """The batched path engine over the full 2^16-element array."""
-    from repro.batch import batch_tally
+    """The launch evaluator over the full 2^16-element array (a fresh
+    evaluator per round, so every round pays the keyed array pass)."""
+    from repro.batch import VecEvaluator
     m = make_method("sin", "llut_i", density_log2=12).setup()
-    res = benchmark(batch_tally, m, inputs)
-    assert res.batched and res.n == inputs.size
+    res = benchmark(lambda: VecEvaluator(m).run(inputs))
+    assert res is not None and res.batch.n == inputs.size
 
 
 def test_batch_vs_scalar_tally_speedup(inputs):
-    """The batched engine must beat per-element tracing by >= 10x.
+    """The launch evaluator must beat per-element tracing by >= 10x.
 
-    Both sides produce bit-identical tallies (the differential suite pins
+    Both sides produce bit-identical tallies (the oracle harness pins
     that); this pins the point of the engine — wall-clock.  The scalar
     baseline runs on a subset to keep the bench fast; rates are compared
     per element.  Measured margin is ~200-800x, so the 10x floor has
@@ -56,31 +57,23 @@ def test_batch_vs_scalar_tally_speedup(inputs):
     """
     import time
 
-    from repro.batch import batch_tally, scalar_tally
+    from repro.batch import VecEvaluator, scalar_tally
 
     m = make_method("sin", "llut_i", density_log2=12).setup()
-    batch_tally(m, inputs[:64])  # warm both code paths
+    VecEvaluator(m).run(inputs[:64])  # warm both code paths
     scalar_tally(m, inputs[:64])
 
     t0 = time.perf_counter()
-    res = batch_tally(m, inputs)
+    res = VecEvaluator(m).run(inputs)
     t1 = time.perf_counter()
     subset = inputs[:2048]
     t2 = time.perf_counter()
     scalar_tally(m, subset)
     t3 = time.perf_counter()
 
-    assert res.batched
+    assert res is not None
     batch_rate = inputs.size / (t1 - t0)
     scalar_rate = subset.size / (t3 - t2)
     assert batch_rate >= 10 * scalar_rate, (
-        f"batched engine only {batch_rate / scalar_rate:.1f}x faster"
+        f"launch evaluator only {batch_rate / scalar_rate:.1f}x faster"
     )
-
-
-def test_setup_throughput(benchmark):
-    def build():
-        return make_method("sin", "llut_i", density_log2=14).setup()
-
-    m = benchmark(build)
-    assert m.entries > 0

@@ -1,11 +1,9 @@
-"""Batched traced-execution engine (see :mod:`repro.batch.engine`) and
-the memoized launch evaluator layered on it (:mod:`repro.batch.vec`)."""
+"""Traced cost aggregation (see :mod:`repro.batch.engine`) and the
+memoized launch evaluator built on it (:mod:`repro.batch.vec`)."""
 
 from repro.batch.engine import (
     BatchResult,
     CostPath,
-    batch_tally,
-    enumerate_paths,
     scalar_tally,
     tally_from_keys,
 )
@@ -17,8 +15,6 @@ __all__ = [
     "VecEvaluator",
     "VecResult",
     "array_digest",
-    "batch_tally",
-    "enumerate_paths",
     "scalar_tally",
     "tally_from_keys",
 ]

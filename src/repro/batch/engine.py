@@ -3,21 +3,20 @@
 Every kernel in this library is *data-oblivious up to branch direction*: its
 instruction tally depends only on which traced branches fire, never on the
 arithmetic values flowing through them (each ISA op charges a fixed slot
-cost).  A method that can name the branch set an input takes — via
-``Method.classify_paths`` — therefore only needs ONE scalar trace per
+cost).  A method that can name the branch set an input takes (the keys of
+``Method.classify_paths``) therefore only needs ONE scalar trace per
 distinct path; every other element on that path charges the bit-identical
-tally.  The aggregate over an array is the exact integer sum
+tally.  :func:`tally_from_keys` turns keys into the aggregate, the exact
+integer sum
 
     total = sum over paths of (path_tally * path_count)
 
 with no sampling and no floating-point scaling, and the per-element slots
-array falls out of the same classification for free.
+array falls out of the same keys for free.
 
-When a method (or a custom kernel) cannot classify, :func:`batch_tally`
-falls back to an element-by-element scalar loop that reuses a single
-:class:`~repro.isa.CycleCounter` — same results, no speedup.  The
-differential harness in ``tests/batch/`` asserts bit-equality of the two
-paths for every registered (function, method) pair.
+:func:`scalar_tally` is the oracle's tally form: every element traced in a
+scalar loop that reuses one :class:`~repro.isa.CycleCounter`.  The oracle
+harness (``tests/test_oracle.py``) holds every launch path to it.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from repro.obs import metrics as _metrics
 __all__ = [
     "CostPath",
     "BatchResult",
-    "enumerate_paths",
-    "batch_tally",
     "tally_from_keys",
     "scalar_tally",
 ]
@@ -59,27 +56,12 @@ class BatchResult:
     n: int                   # number of elements
     tally: Tally             # exact aggregate (integer fields)
     slots: np.ndarray        # per-element instruction slots (int64)
-    paths: List[CostPath]    # distinct paths, by first occurrence
-    batched: bool            # False when the scalar fallback ran
-
-
-def enumerate_paths(method, xs: np.ndarray,
-                    keys: np.ndarray) -> List[CostPath]:
-    """Trace one representative per distinct key; return the path list."""
-    uniq, first, counts = np.unique(keys, return_index=True,
-                                    return_counts=True)
-    ctx = CycleCounter(method.costs)
-    paths = []
-    for key, idx, count in zip(uniq, first, counts):
-        rep = float(xs[idx])
-        method.evaluate(ctx, rep)
-        paths.append(CostPath(key=int(key), representative=rep,
-                              count=int(count), tally=ctx.reset()))
-    return paths
+    paths: List[CostPath]    # distinct paths by key (none from scalar_tally)
 
 
 def scalar_tally(method, xs: np.ndarray) -> BatchResult:
-    """Element-by-element traced fallback (one reused CycleCounter)."""
+    """Every element of ``xs`` traced through ``method.evaluate`` (one
+    reused CycleCounter): the oracle's aggregate and per-element slots."""
     ctx = CycleCounter(method.costs)
     total = Tally()
     slots = np.empty(xs.size, dtype=np.int64)
@@ -90,51 +72,23 @@ def scalar_tally(method, xs: np.ndarray) -> BatchResult:
         total.add(tally)
     _metrics.inc("batch.scalar_fallbacks")
     _metrics.inc("batch.elements", int(xs.size))
-    return BatchResult(n=int(xs.size), tally=total, slots=slots,
-                       paths=[], batched=False)
-
-
-def batch_tally(method, xs: np.ndarray,
-                tally_cache: Optional[Dict[int, Tally]] = None) -> BatchResult:
-    """Exact aggregate tally of ``method.evaluate`` over ``xs``.
-
-    Classifies the array into cost paths, scalar-traces one representative
-    per path, and sums ``path_tally * path_count`` — bit-identical to
-    tracing every element, at a cost proportional to the number of distinct
-    paths (typically < 10) instead of the array length.  An unclassifiable
-    method runs the scalar loop instead (:func:`scalar_tally` forces it).
-
-    This is the reference engine — launches go through the launch
-    evaluator (:mod:`repro.batch.vec`), which aggregates through the same
-    :func:`tally_from_keys`.  ``tally_cache`` maps path key -> traced
-    Tally across calls: equal key implies a bit-identical tally — the
-    invariant the batch differential harness enforces — so cache hits skip
-    scalar tracing entirely without changing any reported number.
-    """
-    xs = np.asarray(xs, dtype=_F32).ravel()
-    if xs.size == 0:
-        # An empty batch is a valid boundary case (sharded dispatch splits,
-        # coalesced serving batches): zero elements, zero cost, no paths.
-        return BatchResult(n=0, tally=Tally(),
-                           slots=np.empty(0, dtype=np.int64),
-                           paths=[], batched=True)
-    keys = method.classify_paths(xs)
-    if keys is None:
-        return scalar_tally(method, xs)
-    return tally_from_keys(method, xs, keys, tally_cache=tally_cache)
+    return BatchResult(n=int(xs.size), tally=total, slots=slots, paths=[])
 
 
 def tally_from_keys(method, xs: np.ndarray, keys: np.ndarray,
                     tally_cache: Optional[Dict[int, Tally]] = None,
                     unique: Optional[tuple] = None) -> BatchResult:
-    """The engine's back half: a BatchResult from precomputed path keys.
+    """The exact cost aggregate of ``xs`` from its path keys.
 
-    Split out of :func:`batch_tally` so the launch evaluator
-    (:mod:`repro.batch.vec`) aggregates its keys through the exact same
-    code path — bit-identity with the traced engine by construction.
+    Traces one representative per distinct key (the first element with
+    it) and sums ``path_tally * path_count``: bit-identical to tracing
+    every element, at a cost proportional to the number of distinct paths
+    instead of the array length.  ``tally_cache`` maps path key -> traced
+    Tally across calls: equal key implies a bit-identical tally, so cache
+    hits skip scalar tracing without changing any reported number.
     ``unique`` optionally carries a precomputed
     ``np.unique(keys, return_index/inverse/counts)`` tuple so memoized
-    launches skip the sort as well.
+    launches (:mod:`repro.batch.vec`) skip the sort as well.
     """
     if unique is None:
         unique = np.unique(keys, return_index=True, return_inverse=True,
@@ -173,4 +127,4 @@ def tally_from_keys(method, xs: np.ndarray, keys: np.ndarray,
             _metrics.inc(f"batch.path[{p.key}].slots",
                          p.tally.slots * p.count)
     return BatchResult(n=int(xs.size), tally=total,
-                       slots=path_slots[inverse], paths=paths, batched=True)
+                       slots=path_slots[inverse], paths=paths)

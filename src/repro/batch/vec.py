@@ -4,11 +4,10 @@ A plan launch needs the float32 values of its sampled inputs and their
 exact traced cost aggregate.  Both come from one call of
 ``Method.array_pass(xs, keys=True)``: the method's own range reduction and
 address generation yield the values and every element's cost-path key
-together, and :func:`~repro.batch.engine.tally_from_keys` — the traced
-engine's back half — turns the keys into the aggregate with one scalar
-trace per distinct path.  ``Method.evaluate_vec`` and
-``Method.classify_paths`` are views of that same pass, so the values and
-keys here equal theirs by construction.
+together, and :func:`~repro.batch.engine.tally_from_keys` turns the keys
+into the aggregate with one scalar trace per distinct path.
+``Method.evaluate_vec`` and ``Method.classify_paths`` are views of that
+same pass, so the values and keys here equal theirs by construction.
 
 A :class:`VecEvaluator` adds the digest memo around the pass: the
 ``(values, keys, unique)`` triple is cached by input digest, so a table
@@ -61,19 +60,21 @@ class VecResult:
     """One launch evaluation: values plus the exact traced aggregate."""
 
     values: np.ndarray       # evaluate_vec-identical outputs
-    batch: BatchResult       # batch_tally-identical cost aggregate
+    batch: BatchResult       # the scalar trace's exact cost aggregate
 
 
 class VecEvaluator:
     """The memoized launch pass of one built method.
 
     ``run`` returns values bit-identical to ``method.evaluate_vec`` and a
-    :class:`~repro.batch.engine.BatchResult` bit-identical to
-    :func:`~repro.batch.engine.batch_tally`, or ``None`` when the method
-    abstains from path classification (callers fall back to the scalar
-    loop).  The per-digest memo caches the placement-independent
-    ``(values, keys, unique)`` triple; per-path tallies always go through
-    the caller's ``tally_cache`` so placement-specific costs stay exact.
+    :class:`~repro.batch.engine.BatchResult` bit-identical to tracing
+    every element (:func:`~repro.batch.engine.scalar_tally`), or ``None``
+    when the method abstains from path classification (callers fall back
+    to the scalar loop).  The oracle harness (``tests/test_oracle.py``)
+    holds both to ``Method.evaluate``.  The per-digest memo caches the
+    placement-independent ``(values, keys, unique)`` triple; per-path
+    tallies always go through the caller's ``tally_cache`` so
+    placement-specific costs stay exact.
     """
 
     def __init__(self, method):
@@ -98,7 +99,7 @@ class VecEvaluator:
                 values=np.empty(0, dtype=_F32),
                 batch=BatchResult(n=0, tally=Tally(),
                                   slots=np.empty(0, dtype=np.int64),
-                                  paths=[], batched=True))
+                                  paths=[]))
         entry = self._entry(xs)
         if entry is None:
             # Memoized abstain: repeated unclassifiable batches skip the

@@ -22,7 +22,7 @@ they cannot disagree.  Tests hold both to the scalar trace.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -173,8 +173,8 @@ class Method(ABC):
         and one address generation.  With ``keys``, each key packs the
         reducer key above ``CORE_KEY_BITS`` and the core key below it; it
         is ``None`` when either layer abstains.  Keys are opaque: equal key
-        means bit-identical instruction tally (enforced by the differential
-        harness in ``tests/batch/``).
+        means bit-identical instruction tally (the oracle harness,
+        ``tests/test_oracle.py``, holds values and keys to :meth:`evaluate`).
         """
         self._require_ready()
         u, state, rkey = self.reducer.reduce_vec(
@@ -206,19 +206,6 @@ class Method(ABC):
         """Cost-path key of :meth:`evaluate` per element (``None``: abstain)."""
         return self.array_pass(x, keys=True)[1]
 
-    def cost_paths(self, xs: np.ndarray) -> Optional[List["CostPath"]]:
-        """Enumerate the distinct cost paths present in ``xs``.
-
-        Returns one :class:`~repro.batch.CostPath` (key, representative
-        input, element count, traced tally) per distinct path, or ``None``
-        when this method cannot classify.
-        """
-        from repro.batch import enumerate_paths
-        keys = self.classify_paths(xs)
-        if keys is None:
-            return None
-        return enumerate_paths(self, np.asarray(xs, dtype=_F32), keys)
-
     # ------------------------------------------------------------------
     # measurement helpers
 
@@ -231,16 +218,17 @@ class Method(ABC):
     def mean_slots(self, xs: np.ndarray) -> float:
         """Average per-element instruction slots over a sample of inputs.
 
-        Uses the batched traced-execution engine (one scalar trace per
-        distinct cost path) when the method classifies its paths; otherwise
-        falls back to an element-by-element scalar loop.  Both give the same
-        result bit for bit.
+        Uses the launch evaluator (one keyed array pass, then one scalar
+        trace per distinct cost path) and falls back to tracing every
+        element where the method abstains.  Both give the same result bit
+        for bit.
         """
-        from repro.batch import batch_tally
-        xs = np.asarray(xs, dtype=_F32)
+        from repro.batch import VecEvaluator, scalar_tally
+        xs = np.asarray(xs, dtype=_F32).ravel()
         if xs.size == 0:
             raise ConfigurationError("mean_slots needs at least one input")
-        result = batch_tally(self, xs)
+        fused = VecEvaluator(self).run(xs)
+        result = fused.batch if fused is not None else scalar_tally(self, xs)
         return result.tally.slots / xs.size
 
     # ------------------------------------------------------------------

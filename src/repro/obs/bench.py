@@ -120,21 +120,21 @@ def _bench_fig9(quick: bool) -> Dict[str, Any]:
 
 
 def _bench_batch_speedup(quick: bool) -> Dict[str, Any]:
-    """Batch-engine vs scalar-loop tracing rate (elements per wall-second).
+    """Launch-evaluator vs scalar-loop tracing rate (elements per wall-second).
 
     The same measurement as the >=10x floor bench in ``benchmarks/``; here
     it feeds the trajectory so the margin itself is tracked over PRs.
     """
     from repro.analysis.sweep import default_inputs
     from repro.api import make_method
-    from repro.batch import batch_tally, scalar_tally
+    from repro.batch import VecEvaluator, scalar_tally
 
     m = make_method("sin", "llut_i", density_log2=12).setup()
     xs = default_inputs("sin", n=(1 << 13) if quick else (1 << 16))
     scalar_n = min(xs.size, 512)
 
     t0 = time.perf_counter()
-    batch_res = batch_tally(m, xs)
+    batch_res = VecEvaluator(m).run(xs).batch
     batch_wall = time.perf_counter() - t0
 
     t0 = time.perf_counter()

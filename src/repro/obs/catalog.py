@@ -20,8 +20,8 @@ __all__ = ["COUNTERS", "COUNTER_PATTERNS", "GAUGES", "metric_kind",
 #: Monotonic counters (emitted via :func:`repro.obs.metrics.inc`).
 COUNTERS: Dict[str, str] = {
     # batch engine
-    "batch.calls": "batch_tally invocations",
-    "batch.elements": "elements classified by the batch engine",
+    "batch.calls": "tally_from_keys invocations",
+    "batch.elements": "elements tallied by the batch engine",
     "batch.paths_traced": "distinct cost paths scalar-traced",
     "batch.scalar_fallbacks": "inputs that fell back to the scalar loop",
     "batch.tally_cache.hits": "path tallies served from a plan's cache",

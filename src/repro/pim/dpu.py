@@ -179,11 +179,11 @@ class DPU:
         (:class:`~repro.batch.vec.VecEvaluator`: ``evaluator`` when given,
         a throwaway one otherwise) produces the sample outputs and the cost
         aggregate with one scalar trace per distinct cost path —
-        bit-identical to tracing every sampled element (the differential
-        harnesses in ``tests/batch/`` enforce this).  ``tally_cache`` (path
-        key -> Tally) carries those traces across launches.  Where the
-        evaluator abstains, and for every other kernel, each sampled
-        element is traced in a scalar loop.
+        bit-identical to tracing every sampled element (the oracle
+        harness, ``tests/test_oracle.py``, enforces this).
+        ``tally_cache`` (path key -> Tally) carries those traces across
+        launches.  Where the evaluator abstains, and for every other
+        kernel, each sampled element is traced in a scalar loop.
 
         ``virtual_n`` treats ``inputs`` as a sample standing in for a larger
         array of that many elements drawn from the same distribution —

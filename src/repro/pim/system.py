@@ -7,8 +7,8 @@ core's time — with even distribution, the representative core's time.
 
 Execution is plan-based (:mod:`repro.plan`): :meth:`PIMSystem.run` compiles
 a throwaway :class:`~repro.plan.plan.ExecutionPlan` per call and executes
-it — bit-identical to the pre-plan monolith (held to that by the
-differential harness in ``tests/plan/``).  Callers that launch repeatedly
+it (the oracle harness, ``tests/test_oracle.py``, holds it to the same
+launch of the raw scalar kernel).  Callers that launch repeatedly
 should compile once via :meth:`PIMSystem.plan` or a
 :class:`~repro.plan.cache.PlanCache` and call ``execute`` on the plan.
 """

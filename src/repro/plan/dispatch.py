@@ -38,7 +38,7 @@ from repro.obs import metrics as _metrics
 from repro.obs.tracer import span as _span
 from repro.pim.dpu import trace_sample
 from repro.pim.system import PIMSystem, SystemRunResult
-from repro.plan.plan import ExecutionPlan
+from repro.plan.plan import ExecutionPlan, check_imbalance
 from repro.plan.schedule import StageItem, schedule_pipeline
 
 __all__ = ["ShardResult", "ShardedRunResult", "shard_split", "shard_ranges",
@@ -361,6 +361,11 @@ def execute_sharded(
             raise SimulationError(
                 f"got {len(imbalances)} imbalance factors for "
                 f"{n_shards} shards")
+    # Every shard's factor is checked before any sample is drawn or task
+    # sent, so a bad one fails like the inline launch and leaves a pool
+    # untouched.
+    imbalances = [check_imbalance(plan.config.imbalance if imb is None
+                                  else imb) for imb in imbalances]
 
     samples = _shard_samples(inputs, [ne for ne, _ in split], virtual_n,
                              plan.config.sample_size,

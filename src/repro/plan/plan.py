@@ -9,10 +9,11 @@ is compiled once per (kernel, system configuration) and captures everything
 * the table image and placement (the bound :class:`~repro.core.method.Method`
   after :meth:`~repro.core.method.Method.setup`),
 * the :class:`TableImage` around that method: its launch evaluator (the
-  method's keyed array pass, memoized) plus a **path-tally cache** per placement that amortizes
-  scalar tracing across launches (equal path key means bit-identical
-  tally, the invariant the differential harness in ``tests/batch/``
-  enforces — so a cached tally is exact, not approximate),
+  method's keyed array pass, memoized) plus a **path-tally cache** per
+  placement that amortizes scalar tracing across launches (equal path key
+  means bit-identical tally, the invariant the oracle harness in
+  ``tests/test_oracle.py`` enforces — so a cached tally is exact, not
+  approximate),
 * the :class:`LaunchConfig`: tasklets, trace sample size, transfer
   schedule (:class:`TransferSchedule`: bytes per element, whether
   transfers are modeled, whether they are balanced) and imbalance,
@@ -20,13 +21,15 @@ is compiled once per (kernel, system configuration) and captures everything
 
 :meth:`ExecutionPlan.execute` then runs any number of input arrays through
 the compiled launch.  :meth:`PIMSystem.run <repro.pim.system.PIMSystem.run>`
-is a thin wrapper that compiles a throwaway plan per call — bit-identical to
-the pre-plan monolith; the differential harness in ``tests/plan/`` holds the
-two paths equal field for field across the whole ``METHOD_SUPPORT`` matrix.
+is a thin wrapper that compiles a throwaway plan per call.  The oracle
+harness (``tests/test_oracle.py``) holds both, and sharded launches, equal
+field for field to the same launch of the raw scalar kernel across the
+whole ``METHOD_SUPPORT`` matrix.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
@@ -35,7 +38,7 @@ import numpy as np
 
 from repro.batch.vec import VecEvaluator, array_digest
 from repro.core.method import Method
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.isa.counter import Tally
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import span as _span
@@ -43,7 +46,7 @@ from repro.pim.dpu import DPU, trace_sample
 from repro.pim.system import PIMSystem, SystemRunResult
 
 __all__ = ["TransferSchedule", "LaunchConfig", "TableImage", "ExecutionPlan",
-           "compile_plan"]
+           "check_imbalance", "compile_plan"]
 
 _F32 = np.float32
 
@@ -118,6 +121,20 @@ class LaunchConfig:
     sample_size: int = 64
     transfers: TransferSchedule = TransferSchedule()
     imbalance: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.sample_size < 1:
+            raise ConfigurationError(
+                f"sample_size must be at least 1, got {self.sample_size}")
+
+
+def check_imbalance(imbalance: float) -> float:
+    """``imbalance`` itself, or :class:`SimulationError` unless it is a
+    finite straggler factor of at least 0."""
+    if not 0.0 <= imbalance < math.inf:
+        raise SimulationError(
+            f"imbalance must be finite and non-negative, got {imbalance!r}")
+    return imbalance
 
 
 @dataclass(eq=False)
@@ -323,9 +340,8 @@ class ExecutionPlan:
         ``virtual_n`` is only recorded on the result.
         """
         launch = self.config
-        imb = launch.imbalance if imbalance is None else imbalance
-        if imb < 0:
-            raise SimulationError("imbalance must be non-negative")
+        imb = check_imbalance(
+            launch.imbalance if imbalance is None else imbalance)
         self._bind_placement()
 
         system = self.system

@@ -10,9 +10,11 @@ hypothesis can probe far more widely than the fixed differential matrix:
   same way (classification has no cross-element state);
 * **concatenation stability** — classifying ``a ++ b`` equals classifying
   ``a`` and ``b`` separately and concatenating;
-* **scalar-branch agreement** — equal key implies the scalar trace charges
-  a bit-identical tally (the defining contract), probed on adversarial
-  float32s including signed zeros, subnormals, and domain endpoints.
+* **scalar-oracle agreement** — the harness's checks
+  (``tests/test_oracle.py``) over generated arrays: values bit for bit,
+  equal key implies a bit-identical traced tally (the defining contract),
+  and the launch evaluator's aggregate, probed on adversarial float32s
+  including signed zeros, subnormals, and domain endpoints.
 """
 
 import numpy as np
@@ -21,10 +23,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import make_method
-from repro.batch import batch_tally, scalar_tally
+from repro.batch import scalar_tally, tally_from_keys
 from repro.batch.keys import f2fx_word_vec, ffloor_vec, fround_index
 from repro.core.functions.registry import get_function
 from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, check_evaluator, trace
 
 _F32 = np.float32
 
@@ -82,7 +85,7 @@ class TestClassificationStructure:
         keys = m.classify_paths(xs)
         assert keys is not None
         assert keys.shape == xs.shape
-        paths = m.cost_paths(xs)
+        paths = tally_from_keys(m, xs, keys).paths
         assert sum(p.count for p in paths) == xs.size
         assert len({p.key for p in paths}) == len(paths)
 
@@ -95,9 +98,9 @@ class TestClassificationStructure:
         keys = m.classify_paths(xs)
         np.testing.assert_array_equal(m.classify_paths(xs[perm]), keys[perm])
         # The aggregate tally is permutation-invariant too.
-        a, b = batch_tally(m, xs), batch_tally(m, xs[perm])
-        assert a.tally.slots == b.tally.slots
-        assert a.tally.counts == b.tally.counts
+        a = tally_from_keys(m, xs, keys)
+        b = tally_from_keys(m, xs[perm], keys[perm])
+        assert a.tally == b.tally
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -114,14 +117,12 @@ class TestClassificationStructure:
     @given(data=st.data())
     def test_equal_key_implies_equal_scalar_tally(self, function, name,
                                                   params, data):
-        """The defining contract, on random adversarial float32s."""
+        """The harness's checks, on random adversarial float32s."""
         m = _method(function, name, params)
         xs = data.draw(_arrays(function, min_size=2, max_size=24))
-        b = batch_tally(m, xs)
-        s = scalar_tally(m, xs)
-        assert b.tally.slots == s.tally.slots
-        assert b.tally.counts == s.tally.counts
-        np.testing.assert_array_equal(b.slots, s.slots)
+        oracle = trace(m, xs)
+        check_array_pass(m, xs, oracle, standard=False)
+        check_evaluator(m, xs, oracle, standard=False)
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,10 +131,9 @@ def test_single_element_batch_equals_element_tally(x):
     """A 1-element batch is exactly element_tally, for ANY float32."""
     m = _method("sin", "llut_i", {"density_log2": 8})
     xs = np.array([x], dtype=_F32)
-    res = batch_tally(m, xs)
+    res = tally_from_keys(m, xs, m.classify_paths(xs))
     expected = m.element_tally(float(xs[0]))
-    assert res.tally.slots == expected.slots
-    assert res.tally.counts == expected.counts
+    assert res.tally == expected
     assert res.slots[0] == expected.slots
 
 
@@ -160,15 +160,7 @@ def test_index_helpers_match_traced_conversions(vals):
 
 class TestEmptyBatch:
     """Sharded dispatch can hand an engine zero elements; that is a valid
-    boundary, not an error, and both engines agree on its shape."""
-
-    def test_batch_tally_empty_input(self):
-        m = make_method("sin", "llut_i", density_log2=8).setup()
-        r = batch_tally(m, np.empty(0, dtype=np.float32))
-        assert r.n == 0 and r.batched
-        assert r.tally.slots == 0 and r.tally.counts == {}
-        assert r.slots.size == 0 and r.slots.dtype == np.int64
-        assert r.paths == []
+    boundary, not an error."""
 
     def test_scalar_tally_empty_input(self):
         m = make_method("sin", "llut_i", density_log2=8).setup()

@@ -6,7 +6,7 @@ of that fact is the path-tally dict a :class:`~repro.plan.cache.PlanCache`
 keeps per (table image, placement): every plan it compiles for the pair —
 any tasklet count, any system — and their ``for_system`` clones share it,
 while ad-hoc plans own a fresh one and the evaluator keeps none.
-Correctness is anchored by the differential suites — these tests pin the
+Correctness is anchored by the oracle harness — these tests pin the
 *reuse* semantics: what a new plan finds, that reuse changes no numbers,
 what survives pickling, and that placements never mix.
 """
@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from repro.api import make_method
-from repro.batch import VecEvaluator, batch_tally
+from repro.batch import VecEvaluator
 from repro.obs.metrics import collecting
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.plan.cache import PlanCache
 from repro.plan.plan import LaunchConfig, compile_plan
+from tests.test_oracle import check_evaluator, trace
 
 _F32 = np.float32
 
@@ -82,11 +83,7 @@ class TestFusedDLUTModes:
         for fn, meth in [("tanh", "dlut"), ("gelu", "dlut_i")]:
             m = _method(fn, meth)
             xs = _inputs(256, seed=3)
-            fused = VecEvaluator(m).run(xs, tally_cache={})
-            assert fused.values.tobytes() == m.evaluate_vec(xs).tobytes()
-            ref = batch_tally(m, xs)
-            assert fused.batch.tally.counts == ref.tally.counts
-            assert fused.batch.tally.slots == ref.tally.slots
+            check_evaluator(m, xs, trace(m, xs), standard=True)
 
 
 class TestTallyMemo:

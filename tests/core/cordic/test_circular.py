@@ -11,6 +11,7 @@ from repro.core.functions.registry import get_function
 from repro.errors import ConfigurationError
 from repro.isa.counter import CycleCounter
 from repro.isa.opcosts import UPMEM_COSTS
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -104,11 +105,8 @@ class TestScalarVectorAgreement:
     @pytest.mark.parametrize("function", ["sin", "cos", "tan"])
     def test_bit_exact(self, function, sine_inputs):
         m = _cordic(function, 20)
-        ctx = CycleCounter()
-        sample = sine_inputs[:48]
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in sample],
-                          dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(sample))
+        xs = sine_inputs[:48]
+        check_array_pass(m, xs, trace(m, xs), standard=False)
 
     @pytest.mark.parametrize("in_range", [True, False],
                              ids=["natural", "full_domain"])
@@ -120,10 +118,7 @@ class TestScalarVectorAgreement:
         lo, hi = spec.natural_range if in_range else spec.bench_domain
         xs = np.concatenate([np.linspace(lo, hi, 16, dtype=_F32), _SPECIALS])
         m = _cordic(function, 20, assume_in_range=in_range)
-        ctx = CycleCounter()
-        scalar = np.array([m.evaluate(ctx, x) for x in xs], dtype=_F32)
-        np.testing.assert_array_equal(scalar.view(np.uint32),
-                                      m.evaluate_vec(xs).view(np.uint32))
+        check_array_pass(m, xs, trace(m, xs), standard=False)
 
 
 class TestValidation:

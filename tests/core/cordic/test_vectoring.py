@@ -10,6 +10,7 @@ from repro.core.accuracy import measure
 from repro.core.functions.registry import get_function
 from repro.errors import ConfigurationError
 from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -85,9 +86,7 @@ class TestScalarVectorAgreement:
     def test_bit_exact(self, rng):
         m = _atan(20)
         xs = rng.uniform(-40, 40, 64).astype(_F32)
-        ctx = CycleCounter()
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in xs], dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(xs))
+        check_array_pass(m, xs, trace(m, xs), standard=False)
 
     @pytest.mark.parametrize("in_range", [True, False],
                              ids=["natural", "full_domain"])
@@ -98,7 +97,4 @@ class TestScalarVectorAgreement:
         lo, hi = spec.natural_range if in_range else spec.bench_domain
         xs = np.concatenate([np.linspace(lo, hi, 16, dtype=_F32), _SPECIALS])
         m = _atan(20, assume_in_range=in_range)
-        ctx = CycleCounter()
-        scalar = np.array([m.evaluate(ctx, x) for x in xs], dtype=_F32)
-        np.testing.assert_array_equal(scalar.view(np.uint32),
-                                      m.evaluate_vec(xs).view(np.uint32))
+        check_array_pass(m, xs, trace(m, xs), standard=False)

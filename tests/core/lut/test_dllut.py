@@ -10,6 +10,7 @@ from repro.core.accuracy import measure
 from repro.core.functions.registry import get_function
 from repro.errors import UnsupportedFunctionError
 from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -110,6 +111,4 @@ class TestScalarVectorAgreement:
             rng.uniform(-9, 9, 48),
             rng.uniform(-2.0 ** -8, 2.0 ** -8, 16),  # straddle the boundary
         ]).astype(_F32)
-        ctx = CycleCounter()
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in xs], dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(xs))
+        check_array_pass(m, xs, trace(m, xs), standard=False)

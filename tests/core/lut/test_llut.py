@@ -13,6 +13,7 @@ from repro.core.functions.registry import TWO_PI, get_function
 from repro.core.lut.llut import _LLUTGeometry
 from repro.errors import ConfigurationError
 from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -169,16 +170,10 @@ class TestScalarVectorAgreement:
                                          "llut_i_fx"])
     def test_bit_exact(self, variant, sine_inputs):
         m = _llut(variant=variant, density_log2=9)
-        ctx = CycleCounter()
         sample = sine_inputs[:64]
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in sample],
-                          dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(sample))
+        check_array_pass(m, sample, trace(m, sample), standard=False)
 
     def test_bit_exact_fallback_density(self, sine_inputs):
         m = _llut(variant="llut", density_log2=21)
-        ctx = CycleCounter()
         sample = sine_inputs[:32]
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in sample],
-                          dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(sample))
+        check_array_pass(m, sample, trace(m, sample), standard=False)

@@ -10,6 +10,7 @@ from repro.core.accuracy import measure
 from repro.core.functions.registry import get_function
 from repro.errors import ConfigurationError
 from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -106,15 +107,11 @@ class TestScalarVectorAgreement:
     @pytest.mark.parametrize("interp", [False, True])
     def test_bit_exact(self, interp, sine_inputs):
         m = _mlut(size=777, interpolated=interp)
-        ctx = CycleCounter()
         sample = sine_inputs[:64]
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in sample], dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(sample))
+        check_array_pass(m, sample, trace(m, sample), standard=False)
 
     def test_custom_interval(self, rng):
         m = make_method("exp", "mlut_i", size=1001, interval=(-2.0, 2.0),
                         assume_in_range=True).setup()
         xs = rng.uniform(-2, 2, 64).astype(_F32)
-        ctx = CycleCounter()
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in xs], dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(xs))
+        check_array_pass(m, xs, trace(m, xs), standard=False)

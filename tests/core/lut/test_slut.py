@@ -8,7 +8,7 @@ from repro.core.accuracy import measure
 from repro.core.functions.registry import get_function
 from repro.core.lut.slut import SegmentedLLUT
 from repro.errors import ConfigurationError
-from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -112,6 +112,4 @@ class TestScalarVectorAgreement:
         spec = get_function(function)
         xs = rng.uniform(*spec.bench_domain, 64).astype(_F32)
         m = _slut(function)
-        ctx = CycleCounter()
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in xs], dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(xs))
+        check_array_pass(m, xs, trace(m, xs), standard=False)

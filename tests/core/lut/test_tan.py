@@ -10,6 +10,7 @@ from repro.core.accuracy import measure
 from repro.core.functions.registry import get_function
 from repro.isa.counter import CycleCounter
 from repro.isa.opcosts import UPMEM_COSTS
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -80,6 +81,4 @@ class TestScalarVectorAgreement:
             {"density_log2": 9}
         m = _tan(method, **params)
         xs = rng.uniform(0, 2 * np.pi, 48).astype(_F32)
-        ctx = CycleCounter()
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in xs], dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(xs))
+        check_array_pass(m, xs, trace(m, xs), standard=False)

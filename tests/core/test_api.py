@@ -12,6 +12,7 @@ from repro.core.functions.support import METHOD_SUPPORT
 from repro.core.hybrid import HybridCircular, HybridHyperbolic
 from repro.core.lut.llut import LLUTInterpolated
 from repro.errors import UnsupportedFunctionError
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -83,9 +84,6 @@ def test_every_supported_pair_works(method, function, rng):
                         or method in ("cordic", "cordic_lut", "cordic_fx")]
     assert rep.rmse / scale < bound, (method, function, rep)
 
-    # Traced scalar path agrees with the vectorized path bit-exactly.
-    from repro.isa.counter import CycleCounter
-    ctx = CycleCounter()
+    # Traced scalar path agrees with the array pass bit-exactly.
     sample = xs[:16]
-    scalar = np.array([m.evaluate(ctx, float(x)) for x in sample], dtype=_F32)
-    np.testing.assert_array_equal(scalar, m.evaluate_vec(sample))
+    check_array_pass(m, sample, trace(m, sample), standard=False)

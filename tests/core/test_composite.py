@@ -9,6 +9,7 @@ from repro.core.composite import GeluViaTanh
 from repro.core.functions.registry import get_function
 from repro.errors import ConfigurationError
 from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -78,6 +79,4 @@ class TestStructure:
     def test_scalar_vector_agreement(self, rng):
         m = _composite()
         xs = rng.uniform(-8, 8, 48).astype(_F32)
-        ctx = CycleCounter()
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in xs], dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(xs))
+        check_array_pass(m, xs, trace(m, xs), standard=False)

@@ -7,7 +7,7 @@ from repro.api import make_method
 from repro.core.accuracy import measure
 from repro.core.functions.registry import get_function
 from repro.errors import ConfigurationError, UnsupportedFunctionError
-from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -95,8 +95,5 @@ class TestValidation:
 class TestScalarVectorAgreement:
     def test_bit_exact(self, sine_inputs):
         m = make_method("sin", "poly", degree=10).setup()
-        ctx = CycleCounter()
         sample = sine_inputs[:48]
-        scalar = np.array([m.evaluate(ctx, float(x)) for x in sample],
-                          dtype=_F32)
-        np.testing.assert_array_equal(scalar, m.evaluate_vec(sample))
+        check_array_pass(m, sample, trace(m, sample), standard=False)

@@ -21,6 +21,7 @@ from repro.core.range_reduction import (
 )
 from repro.errors import ConfigurationError
 from repro.isa.counter import CycleCounter
+from tests.test_oracle import check_array_pass, trace
 
 _F32 = np.float32
 
@@ -108,10 +109,7 @@ def test_exp_array_path_matches_scalar_on_extremes(method):
     rng = np.random.default_rng(15)
     xs = np.concatenate([_EXP_EXTREMES,
                          rng.uniform(-120.0, 120.0, 48).astype(_F32)])
-    ctx = CycleCounter()
-    scalar = np.array([m.evaluate(ctx, x) for x in xs], dtype=_F32)
-    np.testing.assert_array_equal(scalar.view(np.uint32),
-                                  m.evaluate_vec(xs).view(np.uint32))
+    check_array_pass(m, xs, trace(m, xs), standard=False)
 
 
 class TestLogSplit:

@@ -82,12 +82,13 @@ class TestInstrumentationSites:
         import numpy as np
 
         from repro.api import make_method
-        from repro.batch import batch_tally
+        from repro.batch import tally_from_keys
 
         m = make_method("sin", "llut_i", density_log2=10).setup()
         xs = np.linspace(0.1, 6.0, 128).astype(np.float32)
+        keys = m.classify_paths(xs)
         with collecting() as reg:
-            res = batch_tally(m, xs)
+            res = tally_from_keys(m, xs, keys)
         assert reg.value("batch.calls") == 1
         assert reg.value("batch.elements") == 128
         assert reg.value("batch.paths_traced") == len(res.paths)

@@ -109,8 +109,9 @@ class TestImbalance:
         from repro.errors import SimulationError
         sys_ = PIMSystem()
         xs = rng.uniform(0, 1, 100).astype(np.float32)
-        with pytest.raises(SimulationError):
-            sys_.run(identity_kernel, xs, imbalance=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                sys_.run(identity_kernel, xs, imbalance=bad)
 
 
 class TestTransferBalance:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import make_method
 from repro.core.method import Method
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs.tracer import Tracer, tracing
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
@@ -132,8 +132,14 @@ class TestExecute:
         assert slow.kernel_seconds == pytest.approx(
             base.kernel_seconds * 1.5, rel=1e-12)
         assert slow.imbalance == 0.5 and base.imbalance == 0.0
-        with pytest.raises(SimulationError):
-            plan.execute(xs, imbalance=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                plan.execute(xs, imbalance=bad)
+
+    def test_sample_size_below_one_rejected(self):
+        for bad in (0, -3):
+            with pytest.raises(ConfigurationError):
+                LaunchConfig(sample_size=bad)
 
     def test_empty_input_rejected(self, system, method):
         plan = compile_plan(system, method)

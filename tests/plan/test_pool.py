@@ -7,14 +7,14 @@ and span-reconciled timings bit-identical to the inline shard loop — under
 both ``fork`` and ``spawn`` worker start methods.  No approx anywhere;
 every assertion is ``==``.
 
-A fast subset runs in tier-1; the full ``METHOD_SUPPORT`` matrix is
-``slow``-marked and runs in CI's pool step.  Fault-injection tests drive a
+A fast subset runs in tier-1; the full ``METHOD_SUPPORT`` matrix, over the
+oracle harness's configurations and built methods
+(``tests/test_oracle.py``), is ``slow``-marked.  Fault-injection tests drive a
 worker that raises, hangs past the dispatch timeout, or dies mid-shard,
 and assert the failure surfaces as a clean :class:`repro.errors.PoolError`
 with no orphaned shared-memory segments and no half-aggregated result.
 """
 
-import dataclasses
 import os
 import pickle
 import signal
@@ -28,9 +28,8 @@ import numpy as np
 import pytest
 
 from repro.api import make_method
-from repro.core.functions.support import METHOD_SUPPORT
 from repro.errors import (ConfigurationError, PoolError, PoolTimeoutError,
-                          TransPimError)
+                          SimulationError, TransPimError)
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.tracer import Tracer, tracing
 from repro.pim.config import SystemConfig
@@ -39,6 +38,8 @@ from repro.plan.dispatch import execute_sharded, shard_split
 from repro.plan.plan import LaunchConfig, compile_plan
 from repro.plan.pool import ShardPool, active_segments
 from repro.analysis.sweep import default_inputs
+from tests.test_oracle import (FULL_MATRIX, MATRIX_IDS, assert_fields_equal,
+                               config)
 
 _F32 = np.float32
 
@@ -54,7 +55,7 @@ _PLANS = {}
 def _plan_for(function: str, method: str):
     key = (function, method)
     if key not in _PLANS:
-        m = make_method(function, method, assume_in_range=False)
+        m = config(function, method, False).method
         _PLANS[key] = compile_plan(_SYSTEM, m, LaunchConfig(sample_size=48))
     return _PLANS[key]
 
@@ -83,20 +84,6 @@ def _shard_attrs(tracer):
         if child.name == "shard":
             out.append({k: child.attrs[k] for k in keys})
     return out
-
-
-def _assert_records_equal(a, b) -> None:
-    """Every field of two shard records equal, ``per_dpu``'s included."""
-    for f in dataclasses.fields(a):
-        if f.name != "per_dpu":
-            assert getattr(b, f.name) == getattr(a, f.name), f.name
-    for f in dataclasses.fields(a.per_dpu):
-        va, vb = getattr(a.per_dpu, f.name), getattr(b.per_dpu, f.name)
-        if isinstance(va, np.ndarray):
-            assert vb.dtype == va.dtype
-            np.testing.assert_array_equal(vb, va)
-        else:
-            assert vb == va, f.name
 
 
 def _assert_pool_matches_inline(function: str, method: str, pool,
@@ -128,26 +115,11 @@ def _assert_pool_matches_inline(function: str, method: str, pool,
                                  rng=rng(), rank_aligned=rank_aligned,
                                  pool=pool)
 
-    # Timings, bit for bit.
-    assert pooled.total_seconds == inline.total_seconds
-    assert pooled.serial_seconds == inline.serial_seconds
-    assert pooled.overlap_saving_seconds == inline.overlap_saving_seconds
-    assert pooled.kernel_seconds == inline.kernel_seconds
-    assert pooled.host_to_pim_seconds == inline.host_to_pim_seconds
-    assert pooled.pim_to_host_seconds == inline.pim_to_host_seconds
-    assert pooled.launch_seconds == inline.launch_seconds
-
-    # Per-shard results, every record field: timings, cycles, tallies,
-    # sample outputs, and the launch echo (virtual_n, imbalance, ...).
-    assert pooled.n_dpus_used == inline.n_dpus_used
-    assert len(pooled.shards) == len(inline.shards) == n_shards
-    for a, b in zip(inline.shards, pooled.shards):
-        assert b.n_elements == a.n_elements
-        assert b.n_dpus == a.n_dpus
-        assert b.start_seconds == a.start_seconds
-        assert b.finish_seconds == a.finish_seconds
-        assert b.result.total_seconds == a.result.total_seconds
-        _assert_records_equal(a.result, b.result)
+    # Every field, bit for bit: the timeline and each shard's record
+    # (timings, cycles, tallies, sample outputs, and the launch echo:
+    # virtual_n, imbalance, ...).
+    assert len(inline.shards) == n_shards
+    assert_fields_equal(pooled, inline, "pooled")
 
     # Span reconciliation: identical shard attrs, and the grafted worker
     # subtree keeps the inline tree shape (shard > shard.execute).
@@ -235,24 +207,24 @@ def test_tasks_ship_the_inline_trace_sample(seed, pool, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Full matrix, slow-marked (CI pool step): every supported pair.
-
-FULL_MATRIX = [
-    (method, function)
-    for method, functions in sorted(METHOD_SUPPORT.items())
-    for function in sorted(functions)
-]
-
+# Full matrix, slow-marked: every supported pair.
 
 @pytest.mark.slow
-@pytest.mark.parametrize("method,function", FULL_MATRIX,
-                         ids=[f"{m}-{f}" for m, f in FULL_MATRIX])
+@pytest.mark.parametrize("method,function", FULL_MATRIX, ids=MATRIX_IDS)
 def test_pool_matches_inline_full_matrix(method, function, pool):
-    try:
-        _plan_for(function, method)
-    except ConfigurationError as exc:
-        pytest.skip(f"unsupported configuration: {exc}")
     _assert_pool_matches_inline(function, method, pool, n=72)
+
+
+def test_bad_imbalance_fails_before_dispatch(pool):
+    """A bad launch factor raises the inline path's error in the parent,
+    before any task ships, and leaves the warm pool serving."""
+    plan = _plan_for("sin", "mlut_i")
+    xs = _inputs_for("sin", 600)
+    for bad in (-1.0, float("nan"), float("inf"), [0.0, -1.0]):
+        with pytest.raises(SimulationError):
+            execute_sharded(plan, xs, n_shards=2, imbalance=bad, pool=pool)
+    assert not pool.closed
+    _assert_pool_matches_inline("sin", "mlut_i", pool, n_shards=2)
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +503,7 @@ class TestOwnedPools:
         assert not any(p.is_alive() for p in started)
         assert pooled.total_seconds == inline.total_seconds
         for a, b in zip(inline.shards, pooled.shards):
-            _assert_records_equal(a.result, b.result)
+            assert_fields_equal(b.result, a.result, "shard result")
 
     @staticmethod
     def _stream():
@@ -573,7 +545,7 @@ class TestOwnedPools:
         self._assert_streams_equal(inline, stream)
         for a, b in zip(inline.results, stream.results):
             for sa, sb in zip(a.shards, b.shards):
-                _assert_records_equal(sa.result, sb.result)
+                assert_fields_equal(sb.result, sa.result, "shard result")
 
 
 def test_fork_pool_shares_the_resource_tracker():

@@ -4,9 +4,12 @@ The topology refactor's acceptance bar: with the default (paper) topology
 and balanced transfers, every execution surface — ``plan.execute``,
 inline and pooled ``execute_sharded``, and the serving front end — is
 *bit-identical* to the flat pre-topology model, which a bare
-``SystemConfig(n_dpus=2545)`` still reproduces exactly.  Rank-aligned
-sharding and rank-parallel transfers are opt-in; their behavior is pinned
-separately below.
+``SystemConfig(n_dpus=2545)`` still reproduces exactly.  The harness
+(``tests/test_oracle.py``) holds every supported pair's launches to that
+and to the scalar oracle; the tests here pin what its small inputs do not
+reach: several elements per DPU, pooled dispatch, serving and plan keys.
+Rank-aligned sharding and rank-parallel transfers are opt-in; their
+behavior is pinned separately below.
 """
 
 import asyncio
@@ -23,40 +26,34 @@ from repro.pim.topology import PAPER_TOPOLOGY
 from repro.plan.dispatch import execute_sharded, shard_ranges, shard_split
 from repro.plan.plan import LaunchConfig, TransferSchedule, compile_plan
 from repro.plan.pool import ShardPool
+from tests.test_oracle import (
+    FLAT,
+    FULL_MATRIX,
+    MATRIX_IDS,
+    TOPO,
+    assert_fields_equal,
+    assert_topology_invisible,
+)
 
 _F32 = np.float32
-
-#: The flat model: exactly what ``SystemConfig()`` meant before the
-#: topology existed — 2545 DPUs, no hierarchy.
-_FLAT = PIMSystem(SystemConfig(n_dpus=PAPER_TOPOLOGY.n_dpus, topology=None))
-#: The refactored default: same count, paper hierarchy underneath.
-_TOPO = PIMSystem(SystemConfig())
 
 
 def _plans(function="sin", method="llut_i"):
     m = make_method(function, method, assume_in_range=False)
-    return (compile_plan(_FLAT, m, LaunchConfig(sample_size=48)),
-            compile_plan(_TOPO, m, LaunchConfig(sample_size=48)))
+    return (compile_plan(FLAT, m, LaunchConfig(sample_size=48)),
+            compile_plan(TOPO, m, LaunchConfig(sample_size=48)))
 
 
 def _inputs(n=3000, seed=7):
     return np.random.default_rng(seed).uniform(-4, 4, n).astype(_F32)
 
 
-def _assert_results_identical(a, b):
-    assert a.total_seconds == b.total_seconds
-    assert a.kernel_seconds == b.kernel_seconds
-    assert a.host_to_pim_seconds == b.host_to_pim_seconds
-    assert a.pim_to_host_seconds == b.pim_to_host_seconds
-    assert a.n_dpus_used == b.n_dpus_used
-
-
 class TestDefaultTopologyIsInvisible:
     def test_plan_execute_bit_identical(self):
         flat_plan, topo_plan = _plans()
         xs = _inputs()
-        _assert_results_identical(flat_plan.execute(xs),
-                                  topo_plan.execute(xs))
+        assert_fields_equal(topo_plan.execute(xs), flat_plan.execute(xs),
+                            "execute")
         np.testing.assert_array_equal(flat_plan.values(xs),
                                       topo_plan.values(xs))
 
@@ -65,13 +62,7 @@ class TestDefaultTopologyIsInvisible:
         xs = _inputs()
         a = execute_sharded(flat_plan, xs, n_shards=4, overlap=True)
         b = execute_sharded(topo_plan, xs, n_shards=4, overlap=True)
-        assert a.total_seconds == b.total_seconds
-        assert a.serial_seconds == b.serial_seconds
-        assert a.overlap_saving_seconds == b.overlap_saving_seconds
-        for sa, sb in zip(a.shards, b.shards):
-            assert sa.start_seconds == sb.start_seconds
-            assert sa.finish_seconds == sb.finish_seconds
-            _assert_results_identical(sa.result, sb.result)
+        assert_fields_equal(b, a, "sharded")
 
     def test_sharded_pooled_bit_identical(self):
         flat_plan, topo_plan = _plans("tanh", "dlut_i")
@@ -79,9 +70,7 @@ class TestDefaultTopologyIsInvisible:
         with ShardPool(2, start_method="fork", timeout=120.0) as pool:
             a = execute_sharded(flat_plan, xs, n_shards=2, pool=pool)
             b = execute_sharded(topo_plan, xs, n_shards=2, pool=pool)
-        assert a.total_seconds == b.total_seconds
-        for sa, sb in zip(a.shards, b.shards):
-            _assert_results_identical(sa.result, sb.result)
+        assert_fields_equal(b, a, "pooled")
 
     def test_serve_coalescing_bit_identical(self):
         from repro.pim.host import PIMRuntime
@@ -100,7 +89,7 @@ class TestDefaultTopologyIsInvisible:
                 return results
             return asyncio.run(main())
 
-        for ra, rb in zip(serve_on(_FLAT), serve_on(_TOPO)):
+        for ra, rb in zip(serve_on(FLAT), serve_on(TOPO)):
             np.testing.assert_array_equal(ra.values, rb.values)
             assert ra.batch_requests == rb.batch_requests
 
@@ -110,8 +99,8 @@ class TestDefaultTopologyIsInvisible:
         from repro.plan.cache import key_for
 
         m = make_method("sin", "llut_i", assume_in_range=False)
-        ka = key_for(_FLAT, m)
-        kb = key_for(_TOPO, m)
+        ka = key_for(FLAT, m)
+        kb = key_for(TOPO, m)
         assert ka != kb
         assert ka.system.n_dpus == kb.system.n_dpus
         assert ka.system.topology.signature() == "1x1x1x2545"
@@ -161,9 +150,7 @@ class TestRankAlignedSharding:
         with ShardPool(2, start_method="fork", timeout=120.0) as pool:
             pooled = execute_sharded(topo_plan, xs, n_shards=2,
                                      rank_aligned=True, pool=pool)
-        assert pooled.total_seconds == inline.total_seconds
-        for sa, sb in zip(inline.shards, pooled.shards):
-            _assert_results_identical(sa.result, sb.result)
+        assert_fields_equal(pooled, inline, "pooled")
 
     def test_serve_rank_aligned_values_unchanged(self):
         from repro.serve import ServeConfig, Server, normalize_request
@@ -195,8 +182,8 @@ class TestRankParallelTransfers:
         by the touched rank count; balanced transfers are untouched."""
         m = make_method("sin", "llut_i", assume_in_range=False)
         xs = _inputs(2000, seed=17)
-        serial = _launch(_TOPO, m, xs, balanced=False)
-        fanned = _launch(_TOPO, m, xs, balanced=False, rank_parallel=True)
+        serial = _launch(TOPO, m, xs, balanced=False)
+        fanned = _launch(TOPO, m, xs, balanced=False, rank_parallel=True)
         ranks = PAPER_TOPOLOGY.ranks_in_range(0, serial.n_dpus_used)
         assert ranks > 1
         assert fanned.host_to_pim_seconds == \
@@ -209,9 +196,9 @@ class TestRankParallelTransfers:
     def test_rank_parallel_noop_on_balanced(self):
         m = make_method("sin", "llut_i", assume_in_range=False)
         xs = _inputs(1500, seed=19)
-        base = _launch(_TOPO, m, xs)
-        rp = _launch(_TOPO, m, xs, rank_parallel=True)
-        _assert_results_identical(base, rp)
+        base = _launch(TOPO, m, xs)
+        rp = _launch(TOPO, m, xs, rank_parallel=True)
+        assert_fields_equal(rp, base, "rank_parallel")
 
     def test_single_rank_fallback_matches_flat(self):
         """A bare-n_dpus system has one rank: rank_parallel changes
@@ -221,38 +208,15 @@ class TestRankParallelTransfers:
         sys64 = PIMSystem(SystemConfig(n_dpus=64))
         a = _launch(sys64, m, xs, balanced=False)
         b = _launch(sys64, m, xs, balanced=False, rank_parallel=True)
-        _assert_results_identical(a, b)
+        assert_fields_equal(b, a, "rank_parallel")
 
 
 # ----------------------------------------------------------------------
-# Full matrix, slow-marked (CI topology step): the default topology is
-# invisible for *every* supported (method, function) pair, not just the
-# representative kernels above.
-
-from repro.core.functions.support import METHOD_SUPPORT  # noqa: E402
-from repro.errors import ConfigurationError  # noqa: E402
-
-FULL_MATRIX = [
-    (method, function)
-    for method, functions in sorted(METHOD_SUPPORT.items())
-    for function in sorted(functions)
-]
-
+# Full matrix, slow-marked: for every supported (method, function) pair,
+# the default topology's launches equal their raw-kernel twins and the
+# flat system's (the harness, tests/test_oracle.py).
 
 @pytest.mark.slow
-@pytest.mark.parametrize("method,function", FULL_MATRIX,
-                         ids=[f"{m}-{f}" for m, f in FULL_MATRIX])
+@pytest.mark.parametrize("method,function", FULL_MATRIX, ids=MATRIX_IDS)
 def test_default_topology_invisible_full_matrix(method, function):
-    try:
-        m = make_method(function, method, assume_in_range=False)
-    except ConfigurationError as exc:
-        pytest.skip(f"unsupported configuration: {exc}")
-    flat_plan = compile_plan(_FLAT, m, LaunchConfig(sample_size=48))
-    topo_plan = compile_plan(_TOPO, m, LaunchConfig(sample_size=48))
-    xs = _inputs(400, seed=29)
-    _assert_results_identical(flat_plan.execute(xs), topo_plan.execute(xs))
-    a = execute_sharded(flat_plan, xs, n_shards=2, overlap=True)
-    b = execute_sharded(topo_plan, xs, n_shards=2, overlap=True)
-    assert a.total_seconds == b.total_seconds
-    for sa, sb in zip(a.shards, b.shards):
-        _assert_results_identical(sa.result, sb.result)
+    assert_topology_invisible(function, method, False)

@@ -20,6 +20,7 @@ from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.plan.cache import PlanCache
 from repro.plan.plan import LaunchConfig, compile_plan
+from tests.test_oracle import assert_fields_equal
 
 _F32 = np.float32
 
@@ -47,26 +48,17 @@ def xs():
     return rng.uniform(-4.0, 4.0, 512).astype(_F32)
 
 
-def _result_fields(r):
-    d = r.per_dpu
-    return (r.n_elements, r.n_dpus_used, r.tasklets, r.kernel_seconds,
-            r.host_to_pim_seconds, r.pim_to_host_seconds, r.launch_seconds,
-            d.cycles, d.seconds, d.per_element_tally.slots,
-            d.per_element_tally.counts, d.total_tally.slots,
-            d.sample_outputs.tobytes())
-
-
 class TestExecuteEquivalence:
     def test_vec_and_traced_runs_identical(self, system, xs):
         config = LaunchConfig(sample_size=64)
         a = compile_plan(system, _method(), config).execute(xs)
         b = _oracle(system, _method(), config).execute(xs)
-        assert _result_fields(a) == _result_fields(b)
+        assert_fields_equal(a, b, "execute")
 
     def test_vec_and_traced_runs_identical_cordic(self, system, xs):
         a = compile_plan(system, make_method("sin", "cordic")).execute(xs)
         b = _oracle(system, make_method("sin", "cordic")).execute(xs)
-        assert _result_fields(a) == _result_fields(b)
+        assert_fields_equal(a, b, "execute")
 
     def test_abstaining_method_still_executes(self, system):
         # Inputs past the CORDIC fx_mul overflow bound: the evaluator
@@ -77,7 +69,7 @@ class TestExecuteEquivalence:
             a = compile_plan(system, m).execute(huge)
         assert reg.value("batch.vec.fallbacks") == 1
         b = _oracle(system, m).execute(huge)
-        assert _result_fields(a) == _result_fields(b)
+        assert_fields_equal(a, b, "execute")
 
     def test_vec_runs_counted(self, system, xs):
         plan = compile_plan(system, _method())
