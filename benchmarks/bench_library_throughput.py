@@ -77,3 +77,11 @@ def test_batch_vs_scalar_tally_speedup(inputs):
     assert batch_rate >= 10 * scalar_rate, (
         f"launch evaluator only {batch_rate / scalar_rate:.1f}x faster"
     )
+
+
+def test_setup_throughput(benchmark):
+    def build():
+        return make_method("sin", "llut_i", density_log2=14).setup()
+
+    m = benchmark(build)
+    assert m.entries > 0

@@ -1,13 +1,6 @@
-"""Array passes and their cost-path keys, held to the scalar oracle.
-
-``Method.array_pass`` is the one array form of ``Method.evaluate``.  Its
-values, with keys off and on, equal the oracle bit for bit; its keys name
-the traced branch set, so equal key means equal per-element tally, and
-one scalar trace per key (``tally_from_keys``, held to the oracle's
-aggregate by the evaluator check) stands for every lane on its path.  The
-configurations, inputs, oracle and checks live in the harness,
-``tests/test_oracle.py``; the full matrix is ``slow``-marked.
-"""
+"""Array passes and their cost-path keys, held to the scalar oracle by
+the harness's ``check_array_pass`` (``tests/test_oracle.py``) over its
+fast subset and its ``slow`` full matrix."""
 
 import numpy as np
 import pytest

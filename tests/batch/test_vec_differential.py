@@ -1,14 +1,7 @@
-"""The launch evaluator, held to the scalar oracle, and its contract.
-
-:mod:`repro.batch.vec` promises that one memoized, keyed array pass gives
-the oracle's values bit for bit (NaN payloads and signed zeros included)
-and its exact cost aggregate and per-element slots, that it abstains
-exactly where ``classify_paths`` does, and that where ``classify_paths``
-raises it raises the same error.  The configurations, inputs, oracle and
-checks live in the harness, ``tests/test_oracle.py``; the full matrix is
-``slow``-marked.  The tests after it pin the evaluator's contract: memo,
-pickling, one pass, and the scalar fallback.
-"""
+"""The launch evaluator, held to the scalar oracle by the harness's
+``check_evaluator`` (``tests/test_oracle.py``) over its fast subset and
+its ``slow`` full matrix, and the evaluator's contract: memo, pickling,
+one pass and the scalar fallback."""
 
 import functools
 import pickle

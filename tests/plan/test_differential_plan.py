@@ -1,12 +1,6 @@
-"""Launches on the flat system, held to the scalar oracle.
-
-A compiled plan's ``execute``, ``PIMSystem.run`` and inline
-``execute_sharded`` each run once with the method and once with the raw
-kernel ``functools.partial(Method.evaluate, m)`` (the scalar loop over the
-oracle), and the two results are equal field for field.  The
-configurations, inputs and checks live in the harness,
-``tests/test_oracle.py``; the full matrix is ``slow``-marked.
-"""
+"""Launches on the flat system, held to the scalar oracle by the
+harness's ``check_launches`` (``tests/test_oracle.py``) over its fast
+subset and its ``slow`` full matrix."""
 
 import pytest
 

@@ -10,17 +10,16 @@ subnormals, non-finites and near-overflow values, then the probes where
 array passes abstain or the oracle raises), one cache of built methods,
 one oracle :class:`Trace` per configuration, and the checks that hold
 each launch path to it: :func:`check_array_pass`, :func:`check_evaluator`
-and :func:`check_launches`.  Every assertion is ``==`` on bits or
-integers.
+and :func:`check_launches`.  The oracle evaluates every standard lane;
+only probes may make it raise.  Launch checks run over the first draws
+and every edge and probe, which fit in one trace sample, so every lane
+they launch is traced.  Every assertion is ``==`` on bits or integers.
 
-The matrix tests keep the names of the suites the harness replaced:
-``tests/batch/test_differential.py`` (array pass and keys),
-``tests/batch/test_vec_differential.py`` (launch evaluator),
-``tests/plan/test_differential_plan.py`` (launches, flat system) and
-``tests/plan/test_topology_differential.py`` (default topology).
-``tests/batch/test_path_properties.py`` feeds the checks from Hypothesis,
-and ``tests/plan/test_pool.py`` holds pooled dispatch to the inline path
-over the same configurations.
+The matrix tests run under the names of the suites the harness replaced
+(``tests/batch/test_differential.py``, ``test_vec_differential.py``,
+``tests/plan/test_differential_plan.py``, ``test_topology_differential.py``);
+``test_path_properties.py`` and ``test_pool.py`` reuse its checks and
+configurations.
 """
 
 import asyncio
@@ -42,7 +41,7 @@ from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.pim.topology import PAPER_TOPOLOGY
 from repro.plan.dispatch import execute_sharded
-from repro.plan.plan import LaunchConfig, compile_plan
+from repro.plan.plan import LaunchConfig, TableImage, compile_plan
 
 _F32 = np.float32
 
@@ -92,9 +91,12 @@ RANGES = pytest.mark.parametrize("in_range", [True, False],
 FLAT = PIMSystem(SystemConfig(n_dpus=PAPER_TOPOLOGY.n_dpus, topology=None))
 TOPO = PIMSystem(SystemConfig())
 
-#: Launches trace 8 rows: every launch draws a sample from its lanes, and
-#: raw-kernel launches stay cheap enough for the whole matrix.
-LAUNCH = LaunchConfig(sample_size=8)
+#: Launch checks run over the first ``_LAUNCH_DRAWS`` draws, then every
+#: edge and probe: few enough lanes to fit one trace sample, so every lane
+#: is traced, and to keep the raw-kernel twins cheap over the matrix.
+LAUNCH = LaunchConfig(sample_size=64)
+_N_DRAWS = 96
+_LAUNCH_DRAWS = 8
 
 _FLT_MAX = float(np.finfo(_F32).max)
 
@@ -111,7 +113,7 @@ _PROBES = np.array([128.0, -128.0, 1.0e6, 1.0e30, -1.0e30, _FLT_MAX,
                     -_FLT_MAX], dtype=_F32)
 
 
-def standard_inputs(function: str, in_range: bool, n: int = 96,
+def standard_inputs(function: str, in_range: bool, n: int = _N_DRAWS,
                     seed: int = 7) -> np.ndarray:
     """``n`` uniform draws over the range, then the domain edges."""
     spec = get_function(function)
@@ -165,12 +167,19 @@ def trace(m: Method, xs: np.ndarray) -> Trace:
 
 @dataclasses.dataclass
 class Config:
-    """One configuration's built method, inputs and oracle trace."""
+    """One configuration's built method, inputs and oracle trace, and the
+    table image every plan of the method shares, as a plan cache's do."""
 
     method: Method
     xs: np.ndarray       # the standard lanes, then the probes
     n_standard: int
     oracle: Trace
+    image: TableImage
+
+    def launch_lanes(self) -> "tuple[np.ndarray, Trace]":
+        """The first ``_LAUNCH_DRAWS`` draws, then every edge and probe."""
+        lanes = np.r_[:_LAUNCH_DRAWS, _N_DRAWS:self.xs.size]
+        return self.xs[lanes], self.oracle[lanes]
 
 
 _CONFIGS: dict = {}
@@ -190,7 +199,12 @@ def config(function: str, method: str, in_range: bool) -> Config:
             f"built {m.table_bytes()}")
         std = standard_inputs(function, in_range)
         xs = np.concatenate([std, _PROBES])
-        _CONFIGS[key] = Config(m, xs, std.size, trace(m, xs))
+        oracle = trace(m, xs)
+        # Only a probe may make the oracle raise.
+        assert oracle.ok[:std.size].all(), (
+            f"{method}/{function}: the oracle raises on standard lanes "
+            f"{np.flatnonzero(~oracle.ok[:std.size]).tolist()}")
+        _CONFIGS[key] = Config(m, xs, std.size, oracle, TableImage(m))
     return _CONFIGS[key]
 
 
@@ -356,16 +370,20 @@ def _launch_pair(launch, plan, oracle_plan, xs, msg: str) -> bool:
 
 
 def check_launches(m: Method, xs: np.ndarray, oracle: Trace,
-                   system: PIMSystem, launches=LAUNCHES) -> None:
+                   system: PIMSystem, launches=LAUNCHES, *,
+                   image: Optional[TableImage] = None) -> None:
     """Each launch on ``system`` (by default a compiled plan's
     ``execute``, ``PIMSystem.run`` and inline ``execute_sharded``) runs
     with the method and with ``functools.partial(Method.evaluate, m)``,
     the scalar loop over the oracle, and the results are equal field for
     field: element and DPU counts, every phase's seconds, cycles, tallies
-    and sample outputs.  Where the raw kernel raises, the method raises
-    the same type, and the lanes the oracle evaluates are held to it."""
+    and sample outputs.  ``xs`` fits one trace sample, so every lane is
+    traced.  Where the raw kernel raises, the method raises the same
+    type, and the lanes the oracle evaluates are held to it.  ``image``
+    is the table image the method's plan shares, as a plan cache's do."""
+    assert xs.size <= LAUNCH.sample_size, "a launch check traces every lane"
     kernel = functools.partial(Method.evaluate, m)
-    plan = compile_plan(system, m, LAUNCH)
+    plan = compile_plan(system, m, LAUNCH, image=image)
     oracle_plan = compile_plan(system, kernel, LAUNCH)
     ok = oracle.ok
     for kind, launch in launches:
@@ -389,8 +407,18 @@ def assert_config(check, function: str, method: str,
 
 
 def assert_launches(function: str, method: str, in_range: bool) -> None:
+    """:func:`check_launches` on the flat system; then, over the standard
+    lanes (more than one sample holds), a plan's ``execute`` and
+    ``PIMSystem.run`` draw the same sample from equal seeds and are equal
+    field for field."""
     c = config(function, method, in_range)
-    check_launches(c.method, c.xs, c.oracle, FLAT)
+    check_launches(c.method, *c.launch_lanes(), FLAT, image=c.image)
+    xs = c.xs[:c.n_standard]
+    plan = compile_plan(FLAT, c.method, LAUNCH, image=c.image)
+    run = FLAT.run(c.method.evaluate, xs, sample_size=LAUNCH.sample_size,
+                   rng=np.random.default_rng(5))
+    assert_fields_equal(plan.execute(xs, rng=np.random.default_rng(5)), run,
+                        f"{_name(c.method)} drawn sample")
 
 
 def assert_topology_invisible(function: str, method: str,
@@ -400,10 +428,11 @@ def assert_topology_invisible(function: str, method: str,
     to the oracle), and the rank-aligned launch equals its raw-kernel twin.
     """
     c = config(function, method, in_range)
-    check_launches(c.method, c.xs, c.oracle, TOPO, [RANK_ALIGNED])
-    xs = c.xs[c.oracle.ok]
-    flat = compile_plan(FLAT, c.method, LAUNCH)
-    topo = compile_plan(TOPO, c.method, LAUNCH)
+    xs, oracle = c.launch_lanes()
+    check_launches(c.method, xs, oracle, TOPO, [RANK_ALIGNED], image=c.image)
+    xs = xs[oracle.ok]
+    flat = compile_plan(FLAT, c.method, LAUNCH, image=c.image)
+    topo = compile_plan(TOPO, c.method, LAUNCH, image=c.image)
     for kind, launch in LAUNCHES:
         assert_fields_equal(launch(topo, xs), launch(flat, xs),
                             f"{_name(c.method)} {kind} topology vs flat")
