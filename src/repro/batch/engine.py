@@ -83,9 +83,11 @@ def tally_from_keys(method, xs: np.ndarray, keys: np.ndarray,
     Traces one representative per distinct key (the first element with
     it) and sums ``path_tally * path_count``: bit-identical to tracing
     every element, at a cost proportional to the number of distinct paths
-    instead of the array length.  ``tally_cache`` maps path key -> traced
-    Tally across calls: equal key implies a bit-identical tally, so cache
-    hits skip scalar tracing without changing any reported number.
+    instead of the array length.  The products are summed in key order
+    straight into one accumulator, so the aggregate's op counts list each
+    op name where its first path does.  ``tally_cache`` maps path key ->
+    traced Tally across calls: equal key implies a bit-identical tally, so
+    cache hits skip scalar tracing without changing any reported number.
     ``unique`` optionally carries a precomputed
     ``np.unique(keys, return_index/inverse/counts)`` tuple so memoized
     launches (:mod:`repro.batch.vec`) skip the sort as well.
@@ -93,29 +95,37 @@ def tally_from_keys(method, xs: np.ndarray, keys: np.ndarray,
     if unique is None:
         unique = np.unique(keys, return_index=True, return_inverse=True,
                            return_counts=True)
-    uniq, first, inverse, counts = unique
+    uniq, first, inverse, path_counts = unique
 
     ctx = CycleCounter(method.costs)
     total = Tally()
+    counts = total.counts
     paths: List[CostPath] = []
-    path_slots = np.empty(uniq.size, dtype=np.int64)
-    traced = 0
-    for j, (key, count) in enumerate(zip(uniq, counts)):
-        rep = float(xs[first[j]])
-        tally = None if tally_cache is None else tally_cache.get(int(key))
+    path_slots: List[int] = []
+    traced = hits = 0
+    for key, rep, count in zip(uniq.tolist(), xs[first].tolist(),
+                               path_counts.tolist()):
+        tally = None if tally_cache is None else tally_cache.get(key)
         if tally is None:
             method.evaluate(ctx, rep)
             tally = ctx.reset()
             traced += 1
             if tally_cache is not None:
-                tally_cache[int(key)] = tally
-                _metrics.inc("batch.tally_cache.misses")
+                tally_cache[key] = tally
         else:
-            _metrics.inc("batch.tally_cache.hits")
-        path_slots[j] = tally.slots
-        total.add(tally.scaled(int(count)))
-        paths.append(CostPath(key=int(key), representative=rep,
-                              count=int(count), tally=tally))
+            hits += 1
+        path_slots.append(tally.slots)
+        total.slots += tally.slots * count
+        total.dma_transactions += tally.dma_transactions * count
+        total.dma_bytes += tally.dma_bytes * count
+        total.dma_latency += tally.dma_latency * count
+        for name, n in tally.counts.items():
+            counts[name] = counts.get(name, 0) + n * count
+        paths.append(CostPath(key, rep, count, tally))
+    if traced and tally_cache is not None:
+        _metrics.inc("batch.tally_cache.misses", traced)
+    if hits:
+        _metrics.inc("batch.tally_cache.hits", hits)
     if _metrics.active_metrics() is not None:
         # Per-path cycle attribution: hit counts and the exact
         # path_tally x path_count slot products the aggregate is built of.
@@ -127,4 +137,5 @@ def tally_from_keys(method, xs: np.ndarray, keys: np.ndarray,
             _metrics.inc(f"batch.path[{p.key}].slots",
                          p.tally.slots * p.count)
     return BatchResult(n=int(xs.size), tally=total,
-                       slots=path_slots[inverse], paths=paths)
+                       slots=np.asarray(path_slots, dtype=np.int64)[inverse],
+                       paths=paths)

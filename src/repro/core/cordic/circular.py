@@ -135,19 +135,19 @@ class CordicCircular(Method):
         return (q >> np.int64(_FRAC)) & np.int64(3), q & np.int64(_FRAC_MASK)
 
     def _rotation_vec(
-        self, z: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, z: np.ndarray, keys: bool
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """(cos, sin, n_pos) of the rotation from Q0.28 angle words z.
 
         The two rotation arms charge the same number of slots but different
         op *names* (isub on the positive arm, iadd on the negative one), so
         the counts dict depends on the direction multiset — fully captured
-        by the positive-direction count n_pos.
+        by the positive-direction count n_pos (``None`` unless ``keys``).
         """
         x = np.full(z.shape, self._x0, dtype=_F32)
         y = np.zeros(z.shape, dtype=_F32)
         return kernel.rotate(x, y, z, range(self.iterations), self._angles,
-                             hyperbolic=False)
+                             hyperbolic=False, keys=keys)
 
     def _quadrant_select_vec(self, quad: np.ndarray, c: np.ndarray,
                              s: np.ndarray) -> np.ndarray:
@@ -186,6 +186,6 @@ class CordicCircular(Method):
         # fixed multiply.
         a = f2fx_word_vec(u, _FRAC)
         quad, z = self._split_quadrant_vec(a)
-        c, s, n_pos = self._rotation_vec(z)
+        c, s, n_pos = self._rotation_vec(z, keys)
         y = self._quadrant_select_vec(quad, c, s)
         return y, (self._circular_key(a, quad, n_pos) if keys else None)

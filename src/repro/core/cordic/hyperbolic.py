@@ -19,7 +19,7 @@ expensive than sine in Section 4.2.4.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -205,21 +205,21 @@ class CordicHyperbolic(Method):
     # array pass
 
     def _rotation_vec(
-        self, z: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, z: np.ndarray, keys: bool
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """(cosh, sinh, n_pos) of the rotation from Q1.30 angle words z.
 
-        n_pos decides the fadd/fsub and isub/iadd totals; both arms have
-        equal slot cost.
+        n_pos (``None`` unless ``keys``) decides the fadd/fsub and
+        isub/iadd totals; both arms have equal slot cost.
         """
         x = np.full(z.shape, self._inv_gain, dtype=_F32)
         y = np.zeros(z.shape, dtype=_F32)
         return kernel.rotate(x, y, z, self._schedule, self._angles,
-                             hyperbolic=True)
+                             hyperbolic=True, keys=keys)
 
     def _rotate_by_vec(
-        self, w: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        self, w: np.ndarray, keys: bool
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], bool]:
         """(cosh, sinh, n_pos, classifiable) of the rotation by angles w.
 
         Angle words are the scalar ``f2fx(w, _FRAC)``, non-finite lanes 0.
@@ -228,7 +228,7 @@ class CordicHyperbolic(Method):
         index reads, so the key abstains once a word reaches 2^52.
         """
         z = f2fx_word_vec(w, _FRAC)
-        c, s, n_pos = self._rotation_vec(z)
+        c, s, n_pos = self._rotation_vec(z, keys)
         return c, s, n_pos, not bool(np.any(np.abs(z) >= 2**52))
 
     def _vectoring_pass_vec(
@@ -258,28 +258,29 @@ class CordicHyperbolic(Method):
             return x * self._inv_gain, (n_pos if keys else None)
 
         if name == "exp":
-            c, s, n_pos, ok = self._rotate_by_vec(u)
+            c, s, n_pos, ok = self._rotate_by_vec(u, keys)
             return c + s, (n_pos if keys and ok else None)
 
         # sinh/cosh/tanh: one branch picks the rotation or the exp-identity
         # fallback.  The traced fcmp(u, B) <= 0 sends NaN down the rotation
-        # path — hence ~(u > B), not (u <= B).
-        small = ~(u > _F32(ROTATION_BOUND))
-        y = np.empty(u.shape, dtype=_F32)
-        n_pos = np.zeros(u.shape, dtype=np.int64)
+        # path — hence ~(u > B), not (u <= B).  Both paths rotate once, so
+        # one rotation serves every lane: small lanes by u, the others by
+        # the exp reducer's f.
+        big = u > _F32(ROTATION_BOUND)
+        small = ~big
+        angle = u.copy()
         below = np.zeros(u.shape, dtype=bool)
-        ok = True
-        if np.any(small):
-            c, s, n_pos[small], ok = self._rotate_by_vec(u[small])
-            y[small] = s if name == "sinh" else c if name == "cosh" else s / c
-        big = ~small
-        if np.any(big):
+        if big.any():
             ub = u[big]
             v = ldexpf_vec(ub, 1) if name == "tanh" else ub
-            f, k, below[big] = self._exp_reducer.reduce_vec(v, keys=True)
-            c, s, n_pos[big], ok_big = self._rotate_by_vec(f)
-            e = ldexpf_vec(c + s, k)
-            ok = ok and ok_big
+            angle[big], k, below[big] = self._exp_reducer.reduce_vec(
+                v, keys=True)
+        c, s, n_pos, ok = self._rotate_by_vec(angle, keys)
+        y = np.empty(u.shape, dtype=_F32)
+        cs, ss = c[small], s[small]
+        y[small] = ss if name == "sinh" else cs if name == "cosh" else ss / cs
+        if big.any():
+            e = ldexpf_vec(c[big] + s[big], k)
             if name == "tanh":   # tanh u = 1 - 2 / (e^(2u) + 1)
                 y[big] = _F32(1.0) - _F32(2.0) / (e + _F32(1.0))
             else:                # sinh / cosh via e^u and its reciprocal

@@ -16,7 +16,7 @@ precomputed from the angle alone.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -105,13 +105,13 @@ class HybridCircular(CordicCircular):
         return x, y
 
     def _rotation_vec(
-        self, z: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, z: np.ndarray, keys: bool
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         j = self.lut_bits
         idx, z = _table_split_vec(z, CIRCULAR_ANGLE_FRAC_BITS, j)
         return kernel.rotate(self._xtab[idx], self._ytab[idx], z,
                              range(j, self.iterations), self._angles[j:],
-                             hyperbolic=False)
+                             hyperbolic=False, keys=keys)
 
 
 class HybridHyperbolic(CordicHyperbolic):
@@ -185,9 +185,10 @@ class HybridHyperbolic(CordicHyperbolic):
         return x, y
 
     def _rotation_vec(
-        self, z: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, z: np.ndarray, keys: bool
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         # The schedule was already trimmed by ``_skip`` in _build.
         idx, z = _table_split_vec(z, HYPERBOLIC_ANGLE_FRAC_BITS, self.lut_bits)
         return kernel.rotate(self._xtab[idx], self._ytab[idx], z,
-                             self._schedule, self._angles, hyperbolic=True)
+                             self._schedule, self._angles, hyperbolic=True,
+                             keys=keys)

@@ -32,6 +32,15 @@ _F32 = np.float32
 
 Float = Union[float, np.float32]
 
+#: ``n -> (2**n as a float32, bound)`` for every ``n`` whose power of two
+#: is a normal float32.  A float32 ``a`` with ``|a| < bound`` is finite and
+#: ``a * 2**n`` cannot overflow.
+_POW2_STEPS: Dict[int, Tuple[np.float32, float]] = {
+    n: (_F32(math.ldexp(1.0, n)),
+        math.ldexp(1.0, 128 - n) if n > 0 else math.inf)
+    for n in range(-126, 128)
+}
+
 
 @dataclass
 class Tally:
@@ -264,8 +273,20 @@ class CycleCounter:
     # TransPimLib bit-manipulation primitives
 
     def ldexp(self, a: Float, n: int) -> np.float32:
-        """Compute ``a * 2**n`` via exponent-field arithmetic (Section 3.2.2)."""
+        """Compute ``a * 2**n`` via exponent-field arithmetic (Section 3.2.2).
+
+        The result is :func:`~repro.core.ldexp.ldexpf`'s, bit for bit.  A
+        finite ``a`` times a normal power of two that cannot overflow is
+        one float32 multiply: exact, or rounded to nearest even into the
+        subnormals as ``ldexpf`` rounds.  Every other input (NaN and
+        infinities, whose bits ``ldexpf`` keeps, overflow and exponents
+        outside [-126, 127]) goes through ``ldexpf``.
+        """
         self._charge("ldexp", self.costs.ldexp)
+        a = _F32(a)
+        step = _POW2_STEPS.get(n)
+        if step is not None and abs(a) < step[1]:
+            return a * step[0]
         from repro.core.ldexp import ldexpf
         return ldexpf(a, n)
 

@@ -23,9 +23,12 @@ COUNTERS: Dict[str, str] = {
     "batch.calls": "tally_from_keys invocations",
     "batch.elements": "elements tallied by the batch engine",
     "batch.paths_traced": "distinct cost paths scalar-traced",
-    "batch.scalar_fallbacks": "inputs that fell back to the scalar loop",
-    "batch.tally_cache.hits": "path tallies served from a plan's cache",
-    "batch.tally_cache.misses": "path tallies traced and cached",
+    "batch.scalar_fallbacks": "scalar_tally calls (batches traced element "
+                              "by element)",
+    "batch.tally_cache.hits": "path tallies served from a plan's cache "
+                              "(summed per tally_from_keys call)",
+    "batch.tally_cache.misses": "path tallies traced and cached (summed per "
+                                "tally_from_keys call)",
     # launch evaluators (memoized keyed array passes)
     "batch.vec.compiles": "launch evaluators built",
     "batch.vec.runs": "launch evaluations served (values + aggregate)",
@@ -45,7 +48,8 @@ COUNTERS: Dict[str, str] = {
     "dispatch.pool.shipments": "plan payloads shipped to worker pools",
     "dispatch.pool.pinned": "shard tasks run on CPU-pinned workers",
     # topology model
-    "topology.subranges": "topology slices carved for shard sub-systems",
+    "topology.subranges": "shard sub-systems launched on (each built once "
+                          "per parent system and DPU range)",
     # compiled plans
     "plan.compiles": "ExecutionPlans compiled",
     "plan.executions": "plan launches (execute and simulate)",

@@ -15,12 +15,13 @@ should compile once via :meth:`PIMSystem.plan` or a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.isa.opcosts import OpCosts, UPMEM_COSTS
+from repro.obs import metrics as _metrics
 from repro.pim.config import SystemConfig, UPMEM_SYSTEM
 from repro.pim.dpu import DPU, Kernel, KernelResult
 
@@ -76,6 +77,34 @@ class PIMSystem:
         self.costs = costs
         #: Representative core used for SPMD timing and table placement.
         self.dpu = DPU(config.dpu, costs)
+        #: Shard sub-systems by DPU range or count (:meth:`shard_system`).
+        self._shards: Dict[Union[int, Tuple[int, int]], "PIMSystem"] = {}
+
+    def __getstate__(self):
+        # Shard sub-systems are a cache: a shipped system rebuilds its own.
+        return dict(vars(self), _shards={})
+
+    def shard_system(self, n_dpus: int,
+                     dpu_range: Optional[Tuple[int, int]] = None
+                     ) -> "PIMSystem":
+        """The sub-system one shard of a sharded launch runs on.
+
+        With ``dpu_range`` (rank-aligned dispatch) it is the usable DPUs
+        ``[start, stop)``, keeping their rank structure
+        (:meth:`SystemConfig.subrange`); without, the first ``n_dpus``
+        (``replace(config, n_dpus=n_dpus)``).  Each is built once per
+        range and reused by every later launch, inline or in a pool
+        worker, so no launch re-derives a topology.
+        """
+        key = dpu_range if dpu_range is not None else n_dpus
+        sub = self._shards.get(key)
+        if sub is None:
+            config = self.config.subrange(*dpu_range) \
+                if dpu_range is not None \
+                else replace(self.config, n_dpus=n_dpus)
+            sub = self._shards[key] = PIMSystem(config, self.costs)
+        _metrics.inc("topology.subranges")
+        return sub
 
     def elements_per_dpu(self, n_elements: int) -> int:
         """Even SPMD split, rounded up (the slowest core's share)."""

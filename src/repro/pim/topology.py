@@ -268,13 +268,10 @@ class Topology:
         for j, count in enumerate(counts):
             base = j * self.dpus_per_rank
             defects.extend(range(base + count, base + self.dpus_per_rank))
-        sub = Topology(
+        return Topology(
             channels=1, dimms_per_channel=1, ranks_per_dimm=hi - lo,
             dpus_per_rank=self.dpus_per_rank, defective=tuple(defects),
         )
-        from repro.obs import metrics as _metrics
-        _metrics.inc("topology.subranges")
-        return sub
 
     def take(self, n: int) -> "Topology":
         """The first ``n`` usable DPUs as a sub-topology."""

@@ -28,7 +28,7 @@ offsets, so the emitted trace reconciles bit for bit with ``total_seconds``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,7 +37,7 @@ from repro.errors import SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import span as _span
 from repro.pim.dpu import trace_sample
-from repro.pim.system import PIMSystem, SystemRunResult
+from repro.pim.system import SystemRunResult
 from repro.plan.plan import ExecutionPlan, check_imbalance
 from repro.plan.schedule import StageItem, schedule_pipeline
 
@@ -388,15 +388,9 @@ def execute_sharded(
             handles, runs = [], []
             for i, ((n_i, dpus_i), (sample_i, vn_i)) in enumerate(
                     zip(split, samples)):
-                if rank_aligned:
-                    lo, hi = dpu_ranges[i]
-                    sub = PIMSystem(system.config.subrange(lo, hi),
-                                    system.costs)
-                    attrs = {"channel": channels[i]}
-                else:
-                    sub = PIMSystem(replace(system.config, n_dpus=dpus_i),
-                                    system.costs)
-                    attrs = {}
+                sub = system.shard_system(
+                    dpus_i, dpu_ranges[i] if rank_aligned else None)
+                attrs = {"channel": channels[i]} if rank_aligned else {}
                 with _span("shard", index=i, n_elements=n_i,
                            n_dpus=dpus_i, **attrs) as ssp:
                     r = plan.for_system(sub)._simulate_sample(

@@ -59,7 +59,7 @@ import pickle
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_context, parent_process, resource_tracker, shared_memory
 from multiprocessing.connection import wait
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
@@ -264,9 +264,10 @@ class ShardTask:
     capture_trace: bool
     capture_metrics: bool
     #: Usable-DPU slice this shard owns (rank-aligned dispatch only).
-    #: The worker carves its sub-system with
-    #: :meth:`SystemConfig.subrange` so the slice keeps its true rank
-    #: structure; ``None`` falls back to a flat ``n_dpus`` sub-system.
+    #: The worker takes its sub-system from
+    #: :meth:`PIMSystem.shard_system`, as the inline loop does, so the
+    #: slice keeps its true rank structure; ``None`` means a flat
+    #: ``n_dpus`` sub-system.
     dpu_range: Optional[Tuple[int, int]] = None
 
 
@@ -293,15 +294,9 @@ class _ShardFailure:
 
 def _run_shard_task(task: ShardTask):
     """Worker entry point: execute one shard of the shipped plan."""
-    from repro.pim.system import PIMSystem
-
     try:
         plan = load_shipment(task.shipment)
-        if task.dpu_range is not None:
-            cfg = plan.system.config.subrange(*task.dpu_range)
-        else:
-            cfg = replace(plan.system.config, n_dpus=task.n_dpus)
-        sub = PIMSystem(cfg, plan.system.costs)
+        sub = plan.system.shard_system(task.n_dpus, task.dpu_range)
         tracer = Tracer() if task.capture_trace else None
         registry = MetricsRegistry() if task.capture_metrics else None
         t0 = time.perf_counter()

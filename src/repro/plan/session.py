@@ -12,9 +12,10 @@ including sharded/overlapped ones — is PlanCache-warm.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Deque, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -35,6 +36,10 @@ from repro.plan.schedule import PipelineSchedule, StageItem, schedule_pipeline
 __all__ = ["PlanSession", "LaunchRecord", "StreamResult"]
 
 _F32 = np.float32
+
+#: Launch records a session keeps: the most recent ones, so a long-lived
+#: server's history stays bounded.  Totals come from the running stats.
+_HISTORY = 1024
 
 
 @dataclass
@@ -99,8 +104,11 @@ class PlanSession:
         #: The launch configuration every plan of this session compiles
         #: under.
         self.config = config
-        self.launches: List[LaunchRecord] = []
+        #: The most recent launches, oldest first (at most ``_HISTORY``).
+        self.launches: Deque[LaunchRecord] = deque(maxlen=_HISTORY)
         self._stats: Dict[str, _FunctionStats] = {}
+        #: Every launch of the session, summed in launch order.
+        self._total = _FunctionStats()
 
     # ------------------------------------------------------------------
 
@@ -192,10 +200,11 @@ class PlanSession:
             overlap=overlap, simulated_seconds=result.total_seconds,
         )
         self.launches.append(record)
-        stats = self._stats.setdefault(name, _FunctionStats())
-        stats.launches += 1
-        stats.elements += result.n_elements
-        stats.simulated_seconds += result.total_seconds
+        for stats in (self._stats.setdefault(name, _FunctionStats()),
+                      self._total):
+            stats.launches += 1
+            stats.elements += result.n_elements
+            stats.simulated_seconds += result.total_seconds
         _metrics.inc("session.launches")
         _metrics.inc("session.elements", result.n_elements)
         return record
@@ -308,7 +317,7 @@ class PlanSession:
 
     @property
     def total_simulated_seconds(self) -> float:
-        return sum(r.simulated_seconds for r in self.launches)
+        return self._total.simulated_seconds
 
     def summary(self) -> str:
         """Per-function launch statistics for the whole session."""
@@ -320,7 +329,7 @@ class PlanSession:
         ]
         cache = self.plans.stats()
         return (
-            f"plan session: {len(self.launches)} launches, "
+            f"plan session: {self._total.launches} launches, "
             f"{self.total_simulated_seconds:.6f} s simulated, "
             f"{cache['hits']}/{cache['hits'] + cache['misses']} "
             "plan-cache hits\n"

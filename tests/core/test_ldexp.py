@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.ldexp import frexpf, frexpf_vec, ldexpf, ldexpf_vec
+from repro.isa.counter import CycleCounter
 
 
 def _ref_ldexpf(x, n):
@@ -173,3 +174,33 @@ class TestPowerOfTwoStep:
         # x + y*s: the positive arm adds, the negative one subtracts.
         arm_add = a + scaled if d == 1 else a - scaled
         assert _bits(a + b * step) == _bits(arm_add)
+
+
+class TestCycleCounterLdexp:
+    """``CycleCounter.ldexp`` multiplies by a power of two where that is
+    exact and finite, and calls ``ldexpf`` elsewhere: its bits equal
+    ``ldexpf``'s on every input, signalling NaNs included (a product
+    would quiet them)."""
+
+    def test_matches_ldexpf_bit_for_bit(self):
+        corners = np.array(
+            [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x00800000,
+             0x3F800000, 0xBF7FFFFF, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000,
+             0xFF800000, 0x7FC00000, 0xFFC00123, 0x7F800001, 0xFFBFFFFF],
+            dtype=np.uint32)
+        rng = np.random.default_rng(2858)
+        patterns = np.concatenate(
+            [corners, rng.integers(0, 2**32, 192, dtype=np.uint64)
+             .astype(np.uint32)]).view(np.float32)
+        ctx = CycleCounter()
+        for n in range(-300, 301):
+            for x in patterns:
+                assert _bits(ctx.ldexp(x, n)) == _bits(ldexpf(x, n)), \
+                    (hex(_bits(x)), n)
+        assert ctx.reset().count("ldexp") == 601 * patterns.size
+
+    def test_python_float_input_rounds_first(self):
+        ctx = CycleCounter()
+        for x in (0.1, -1e-40, 3.4028235677973366e38, 1e300):
+            for n in (-149, -3, 0, 5, 127, 200):
+                assert _bits(ctx.ldexp(x, n)) == _bits(ldexpf(x, n))

@@ -217,3 +217,46 @@ class TestRunSpanAgreement:
             traced = sys_.run(identity_kernel, xs)
         assert traced.total_seconds == plain.total_seconds
         assert traced.per_dpu.cycles == plain.per_dpu.cycles
+
+
+class TestShardSystems:
+    def test_built_once_per_range_and_shaped_like_the_slice(self):
+        sys_ = PIMSystem()
+        lo, hi = sys_.config.topology.split_ranks(4)[1]
+        sub = sys_.shard_system(hi - lo, (lo, hi))
+        assert sub is sys_.shard_system(hi - lo, (lo, hi))
+        assert sub.config == sys_.config.subrange(lo, hi)
+        assert sub.costs is sys_.costs
+        flat = sys_.shard_system(100)
+        assert flat is sys_.shard_system(100)
+        assert flat.config == SystemConfig(n_dpus=100,
+                                           topology=sys_.config.topology)
+
+    def test_launches_derive_no_topology_after_the_first(self, rng,
+                                                         monkeypatch):
+        from repro.pim.topology import Topology
+        from repro.plan.dispatch import execute_sharded
+
+        sys_ = PIMSystem()
+        plan = sys_.plan(identity_kernel)
+        xs = rng.uniform(0, 1, 500).astype(np.float32)
+        first = [execute_sharded(plan, xs, n_shards=3, rank_aligned=ra)
+                 for ra in (False, True)]
+        carved = []
+        original = Topology.subrange
+        monkeypatch.setattr(Topology, "subrange", lambda self, *a:
+                            carved.append(a) or original(self, *a))
+        again = [execute_sharded(plan, xs, n_shards=3, rank_aligned=ra)
+                 for ra in (False, True)]
+        assert carved == []
+        assert [r.total_seconds for r in again] == \
+            [r.total_seconds for r in first]
+
+    def test_pickling_drops_the_cache(self):
+        import pickle
+
+        sys_ = PIMSystem(SystemConfig(n_dpus=64))
+        sys_.shard_system(32)
+        clone = pickle.loads(pickle.dumps(sys_))
+        assert clone._shards == {}
+        assert clone.shard_system(32).config == sys_.shard_system(32).config

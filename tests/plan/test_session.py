@@ -6,6 +6,7 @@ import pytest
 from repro.api import make_method
 from repro.errors import ConfigurationError
 from repro.obs.metrics import collecting
+from repro.plan import session as session_mod
 from repro.plan.dispatch import ShardedRunResult
 from repro.plan.plan import LaunchConfig
 from repro.plan.session import PlanSession
@@ -61,6 +62,23 @@ class TestLaunchStream:
         b = session.launch("mlut_i:exp", np.abs(xs))
         assert session.total_simulated_seconds == pytest.approx(
             a.total_seconds + b.total_seconds, rel=1e-15)
+
+    def test_history_is_bounded_and_totals_exact(self, monkeypatch, xs):
+        monkeypatch.setattr(session_mod, "_HISTORY", 4)
+        s = PlanSession(config=LaunchConfig(sample_size=16))
+        s.install(make_method("sin", "llut_i", density_log2=8,
+                              assume_in_range=False))
+        results = [s.launch("llut_i:sin", xs[:100 + 10 * i])
+                   for i in range(10)]
+        assert len(s.launches) == 4
+        assert [r.n_elements for r in s.launches] == \
+            [r.n_elements for r in results[-4:]]
+        assert s.launches[-1].n_elements == results[-1].n_elements
+        total = 0.0
+        for r in results:
+            total += r.total_seconds
+        assert s.total_simulated_seconds == total
+        assert "10 launches" in s.summary()
 
 
 class TestReporting:
