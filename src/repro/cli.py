@@ -356,7 +356,6 @@ def _cmd_run(args) -> int:
             if args.shards > 1:
                 r = execute_sharded(plan, xs, n_shards=args.shards,
                                     overlap=args.overlap, pool=pool,
-                                    timeout=args.timeout,
                                     rank_aligned=args.rank_aligned)
                 extra = (f"{r.n_shards} shards"
                          + (" rank-aligned" if args.rank_aligned else "")
@@ -599,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("fork", "spawn", "forkserver"),
                    help="worker start method (default: platform default)")
     p.add_argument("--timeout", type=float, default=None,
-                   help="pooled dispatch deadline in wall seconds")
+                   help="the pool's per-dispatch deadline in wall seconds "
+                        "(finite, above 0)")
     p.add_argument("--rank-aligned", action="store_true",
                    help="split shards along rank boundaries (no shard "
                         "straddles a rank of the topology)")

@@ -61,7 +61,7 @@ class PoolError(SimulationError):
 
 
 class PoolTimeoutError(PoolError):
-    """A pooled shard did not complete within the dispatch timeout.
+    """A pooled shard did not complete within the pool's timeout.
 
     Covers both genuinely slow shards and workers that hang or die
     mid-shard without the pool noticing (the task's result then never

@@ -46,7 +46,6 @@ COUNTERS: Dict[str, str] = {
     "dispatch.pool.dispatches": "pooled execute_sharded invocations",
     "dispatch.pool.tasks": "shard tasks run on pool workers",
     "dispatch.pool.shipments": "plan payloads shipped to worker pools",
-    "dispatch.pool.pinned": "shard tasks run on CPU-pinned workers",
     # topology model
     "topology.subranges": "shard sub-systems launched on (each built once "
                           "per parent system and DPU range)",

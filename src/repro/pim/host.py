@@ -51,37 +51,22 @@ class InstalledFunction:
         return self.method.evaluate_vec(np.asarray(x, dtype=np.float32))
 
     def run(self, x: np.ndarray, tasklets: int = 16,
-            virtual_n: Optional[int] = None, shards: int = 1,
-            overlap: bool = False, workers: Optional[int] = None,
-            pool=None, start_method: Optional[str] = None,
-            timeout: Optional[float] = None):
+            virtual_n: Optional[int] = None):
         """Simulate a whole-system evaluation over ``x``.
 
         Launches go through the runtime's plan cache, so repeated calls are
         PlanCache-warm (no table rebuild, no re-tracing of seen cost paths)
-        yet return numbers bit-identical to ``PIMSystem.run``.
-        ``shards``/``overlap`` dispatch across disjoint DPU groups and
-        return a :class:`~repro.plan.dispatch.ShardedRunResult` instead;
-        ``workers``/``pool`` run those shards on a multiprocess pool
-        (:mod:`repro.plan.pool`) with bit-identical results.
+        yet return numbers bit-identical to ``PIMSystem.run``.  Sharded
+        launches go through :meth:`~repro.plan.session.PlanSession.launch`
+        or :func:`~repro.plan.dispatch.execute_sharded`.
         """
         from repro.plan.plan import LaunchConfig
 
         with _span("host.run", function=self.name) as sp:
             plan = self.runtime.plan(self.name,
                                      LaunchConfig(tasklets=tasklets))
-            x = np.asarray(x, dtype=np.float32)
-            if shards > 1:
-                from repro.plan.dispatch import execute_sharded
-                result = execute_sharded(plan, x, n_shards=shards,
-                                         overlap=overlap,
-                                         virtual_n=virtual_n,
-                                         workers=workers, pool=pool,
-                                         start_method=start_method,
-                                         timeout=timeout)
-            else:
-                result = plan.execute(x, virtual_n=virtual_n,
-                                      span_name="system.run")
+            result = plan.execute(np.asarray(x, dtype=np.float32),
+                                  virtual_n=virtual_n, span_name="system.run")
             sp.set(sim_seconds=result.total_seconds,
                    n_elements=result.n_elements)
         return result

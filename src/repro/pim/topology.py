@@ -9,8 +9,9 @@ structure matters for performance modeling:
   unbalanced scatter serializes per rank, not per system, so a rank-aware
   model recovers rank-level parallelism the flat ``n_dpus`` scalar hides
   ("UPMEM Unleashed", PAPERS.md);
-* host-side worker placement is NUMA-sensitive — a pool worker driving
-  ranks on channel 0 should run on the socket attached to channel 0.
+* every rank hangs off one memory channel, so a rank-aligned shard has a
+  home channel, and a channel-aware pool routes it to that channel's
+  worker group.
 
 :class:`Topology` is the hierarchy made explicit, with a flat *usable*
 DPU index space layered on top: usable index ``i`` names the ``i``-th

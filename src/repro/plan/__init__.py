@@ -16,9 +16,10 @@ never rebuild or re-trace what a previous launch already paid for.
   (overlapped) host<->PIM transfers.
 * :mod:`repro.plan.schedule` — :func:`schedule_pipeline`: the general
   h2p/kernel/p2h pipeline timeline over any stream of launches or shards.
-* :mod:`repro.plan.pool` — :class:`ShardPool`: shards executed on a
-  ``multiprocessing`` worker pool, bit-identical to the inline path, with
-  plans shipped once per pool through shared memory.
+* :mod:`repro.plan.pool` — :class:`ShardPool`: a caller-owned pool of warm
+  worker processes that runs the shards of any launch passed it as
+  ``pool=``, bit-identical to the inline path, with plans shipped once per
+  pool through shared memory.
 * :mod:`repro.plan.session` — :class:`PlanSession`: multi-kernel serving
   streams against one runtime's resident tables, pipelined via
   :meth:`PlanSession.launch_stream`.

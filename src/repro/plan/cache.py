@@ -29,8 +29,10 @@ Two tiers, because tables are placement-independent but launches are not:
 * the **plan LRU** keys off the full :class:`PlanKey` and holds the
   compiled plans themselves.
 
-Both tiers are bounded LRUs; hit/miss/evict counters surface through
-``repro.obs.metrics`` (``plancache.*``) and as attributes for tests.
+Both tiers are bounded LRUs, the method pool at ``max(maxsize, 8)``
+images so a small plan LRU still shares builds; hit/miss/evict counters
+surface through ``repro.obs.metrics`` (``plancache.*``) and as
+attributes for tests.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -152,15 +154,11 @@ def key_for(system: PIMSystem, method: Method,
 class PlanCache:
     """Bounded LRU of ExecutionPlans with a shared built-table pool."""
 
-    def __init__(self, maxsize: int = 64,
-                 method_pool_size: Optional[int] = None):
+    def __init__(self, maxsize: int = 64):
         if maxsize < 1:
             raise ConfigurationError("PlanCache needs maxsize >= 1")
         self.maxsize = maxsize
-        self.method_pool_size = method_pool_size if method_pool_size \
-            is not None else max(maxsize, 8)
-        if self.method_pool_size < 1:
-            raise ConfigurationError("PlanCache needs method_pool_size >= 1")
+        self.method_pool_size = max(maxsize, 8)
         self._plans: "OrderedDict[PlanKey, ExecutionPlan]" = OrderedDict()
         self._methods: "OrderedDict[str, TableImage]" = OrderedDict()
         self.hits = 0

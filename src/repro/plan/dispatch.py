@@ -79,7 +79,7 @@ def shard_split(n_elements: int, n_dpus: int, n_shards: int, *,
     boundaries come from :meth:`Topology.split_ranks`, so no shard's DPU
     group ever straddles a rank, and element counts follow each group's
     DPU share proportionally.  Rank-aligned groups are what let a shard's
-    unbalanced transfers serialize per rank and the pool pin shards to
+    unbalanced transfers serialize per rank and a pool route shards to
     their channel's workers.
     """
     if n_shards < 1:
@@ -233,10 +233,9 @@ def _shard_samples(inputs: np.ndarray, counts: Sequence[int],
     return out
 
 
-def _pooled_shard_runs(plan, split, samples, imbalances, *,
-                       workers, pool, start_method, timeout,
+def _pooled_shard_runs(plan, split, samples, imbalances, pool, *,
                        dpu_ranges=None, channels=None):
-    """Run every shard on a worker pool; graft traces, merge metrics.
+    """Run every shard on ``pool``; graft traces, merge metrics.
 
     Returns ``(handles, runs)`` in shard order — the same pair the inline
     loop produces, so timeline assembly downstream is path-agnostic.
@@ -246,40 +245,25 @@ def _pooled_shard_runs(plan, split, samples, imbalances, *,
     """
     from repro.obs.metrics import active_metrics
     from repro.obs.tracer import active_tracer
-    from repro.plan import pool as _pool_mod
 
     tracer = active_tracer()
     registry = active_metrics()
-    owned = pool is None
-    shard_pool = pool if pool is not None else _pool_mod.ShardPool(
-        min(workers, len(split)) if workers is not None else len(split),
-        start_method=start_method, timeout=timeout,
-    )
     specs = [
         (dpus_i, sample_i, n_i, vn_i, imbalances[i])
         for i, ((n_i, dpus_i), (sample_i, vn_i))
         in enumerate(zip(split, samples))
     ]
-    try:
-        outcomes, _wall = shard_pool.run_shards(
-            plan, specs,
-            capture_trace=tracer is not None,
-            capture_metrics=registry is not None,
-            timeout=timeout,
-            dpu_ranges=dpu_ranges,
-            channels=channels,
-        )
-    finally:
-        if owned:
-            shard_pool.close()
+    outcomes, _wall = pool.run_shards(
+        plan, specs,
+        capture_trace=tracer is not None,
+        capture_metrics=registry is not None,
+        dpu_ranges=dpu_ranges,
+        channels=channels,
+    )
     handles, runs = [], []
     for i, out in enumerate(outcomes):
         n_i, dpus_i = split[i]
-        attrs = {}
-        if channels is not None:
-            attrs["channel"] = channels[i]
-        if getattr(shard_pool, "pin", False):
-            attrs["pinned"] = True
+        attrs = {"channel": channels[i]} if channels is not None else {}
         with _span("shard", index=i, n_elements=n_i, n_dpus=dpus_i,
                    worker=out.worker_pid, **attrs) as ssp:
             if tracer is not None:
@@ -304,10 +288,7 @@ def execute_sharded(
     virtual_n: Optional[int] = None,
     imbalance: Union[None, float, Sequence[float]] = None,
     rng: Optional[np.random.Generator] = None,
-    workers: Optional[int] = None,
     pool=None,
-    start_method: Optional[str] = None,
-    timeout: Optional[float] = None,
     rank_aligned: bool = False,
 ) -> ShardedRunResult:
     """Dispatch ``plan`` over ``n_shards`` disjoint DPU groups.
@@ -324,18 +305,14 @@ def execute_sharded(
     shard execution order.  The draws happen here, before any shard runs
     (:func:`~repro.pim.dpu.trace_sample`, the draw a plain launch makes),
     and each shard then launches over its trace sample and element count.
-    That is all ``workers``/``pool`` ship to a ``multiprocessing`` pool
-    (:mod:`repro.plan.pool`): at most ``sample_size`` rows per shard and
-    no generator, with bit-identical results.
 
-    ``workers > 1`` runs the shards on a throwaway pool of that many
-    processes, at most one per shard (``start_method`` picks
-    fork/spawn/forkserver, ``timeout`` bounds the dispatch in wall
-    seconds); passing an existing
-    :class:`~repro.plan.pool.ShardPool` as ``pool`` reuses warm workers and
-    ships the plan only once across dispatches.  Either way the returned
-    :class:`ShardedRunResult`, the ``dispatch.*`` spans and metrics, and
-    every phase number reconcile bit for bit with the inline path.
+    Shards run inline unless ``pool`` is a warm
+    :class:`~repro.plan.pool.ShardPool`, which ships the plan once per
+    pool and each shard's trace sample per task: at most ``sample_size``
+    rows and no generator.  The caller owns the pool, its start method
+    and its deadline.  The returned :class:`ShardedRunResult`, the
+    ``dispatch.*`` spans and metrics, and every phase number reconcile
+    bit for bit with the inline path.
 
     ``rank_aligned=True`` splits along the system topology's rank
     boundaries instead of evenly: no shard's DPU group straddles a rank,
@@ -370,19 +347,17 @@ def execute_sharded(
     samples = _shard_samples(inputs, [ne for ne, _ in split], virtual_n,
                              plan.config.sample_size,
                              spawn_shard_rngs(rng, n_shards))
-    pooled = pool is not None or (workers is not None and workers > 1)
 
     shards: List[ShardResult] = []
     with _span("dispatch.run", n_shards=n_shards, overlap=overlap,
                n_elements=n) as dsp:
         if rank_aligned:
             dsp.set(rank_aligned=True)
-        if pooled:
+        if pool is not None:
             dsp.set(pooled=True)
             handles, runs = _pooled_shard_runs(
-                plan, split, samples, imbalances,
-                workers=workers, pool=pool, start_method=start_method,
-                timeout=timeout, dpu_ranges=dpu_ranges, channels=channels,
+                plan, split, samples, imbalances, pool,
+                dpu_ranges=dpu_ranges, channels=channels,
             )
         else:
             handles, runs = [], []
@@ -448,7 +423,7 @@ def execute_sharded(
     _metrics.inc("dispatch.shards", n_shards)
     if rank_aligned:
         _metrics.inc("dispatch.rank_aligned")
-    if pooled:
+    if pool is not None:
         _metrics.inc("dispatch.pool.dispatches")
     if overlap:
         _metrics.observe("dispatch.overlap_saving_seconds",

@@ -35,11 +35,16 @@ receive task -> run shard -> send outcome.  The parent keeps at most one
 task in flight per pipe and hands a channel group's next pending shard
 to whichever of that group's workers answers first.
 
+A :class:`ShardPool` is the only way onto worker processes: its caller
+builds one, passes it as ``pool=`` to every launch that should run there
+and closes it when done.  Its start method and deadline are fixed when
+it is built.
+
 Failure discipline
 ------------------
 A worker that raises ships a structured failure back.  The parent waits
 (``multiprocessing.connection.wait``) on its busy pipes *and* those
-workers' process sentinels under the dispatch ``timeout``, so a worker
+workers' process sentinels under the pool's ``timeout``, so a worker
 that dies, mid-shard or while idle between dispatches, shows up as EOF
 or a ready sentinel at once, and a hung worker runs out the deadline.
 Any of these raises a clean :class:`repro.errors.PoolError` /
@@ -54,6 +59,8 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
+import numbers
 import os
 import pickle
 import time
@@ -331,27 +338,10 @@ class _nullcontext:
         return None
 
 
-def _pin_worker(cpus: Tuple[int, ...]) -> None:
-    """Restrict this worker process to its group's CPUs.
-
-    Models NUMA placement — each channel group's workers stay on one CPU
-    block so the host-side halves of that channel's transfers keep their
-    cache/memory locality.  Best-effort: platforms without
-    ``sched_setaffinity`` (or with a shrunken cpuset) run unpinned.
-    """
-    if not cpus:
-        return
-    try:
-        os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):  # pragma: no cover - platform-dependent
-        pass
-
-
-def _worker_loop(conn, cpus: Tuple[int, ...]) -> None:
+def _worker_loop(conn) -> None:
     """Worker process body: run each task received on ``conn``, send back
     its outcome, and stop on ``None``, on EOF, or once the parent is gone.
     """
-    _pin_worker(cpus)
     watch = [conn, parent_process().sentinel]
     try:
         while conn in wait(watch):
@@ -366,10 +356,10 @@ def _worker_loop(conn, cpus: Tuple[int, ...]) -> None:
 class _Worker:
     """One warm worker process and the parent's end of its pipe."""
 
-    def __init__(self, ctx, cpus: Tuple[int, ...]):
+    def __init__(self, ctx):
         self.conn, child = ctx.Pipe()
         # Daemonic: a pool never closed cannot hold up interpreter exit.
-        self.process = ctx.Process(target=_worker_loop, args=(child, cpus),
+        self.process = ctx.Process(target=_worker_loop, args=(child,),
                                    daemon=True)
         try:
             self.process.start()
@@ -389,26 +379,26 @@ class _Worker:
 class ShardPool:
     """A reusable multiprocess pool for sharded plan dispatch.
 
-    Create one per serving process and pass it to
-    :func:`~repro.plan.dispatch.execute_sharded` (or hand ``workers=`` and
-    let the dispatcher manage a throwaway pool).  Plans are shipped once
-    per pool; every dispatch against the same plan object reuses the
-    worker-side caches.  The worker processes start with the pool and stay
-    warm until :meth:`close`.
+    Build one per process that dispatches, pass it as ``pool=`` to
+    :func:`~repro.plan.dispatch.execute_sharded` (or
+    :meth:`~repro.plan.session.PlanSession.launch`), and :meth:`close` it
+    when done: the caller owns it.  Plans are shipped once per pool;
+    every dispatch against the same plan object reuses the worker-side
+    caches.  The worker processes start with the pool and stay warm until
+    :meth:`close`.
 
     ``start_method`` picks the ``multiprocessing`` context (``"fork"``,
     ``"spawn"``, ``"forkserver"``; ``None`` uses the platform default).
-    ``timeout`` is the per-dispatch default deadline in wall seconds —
-    exceeded deadlines raise :class:`~repro.errors.PoolTimeoutError`.
+    ``timeout`` is every dispatch's deadline in wall seconds, ``None`` or
+    a finite number above 0 — exceeded deadlines raise
+    :class:`~repro.errors.PoolTimeoutError`.  Anything else raises
+    :class:`~repro.errors.ConfigurationError` before a worker starts.
 
-    Passing ``topology`` makes the pool NUMA-aware: workers default to
+    Passing ``topology`` makes the pool channel-aware: workers default to
     one per memory channel, they are partitioned into one worker group
     per channel, and rank-aligned dispatches route each shard to its home
-    channel's group (``shard -> worker affinity by channel``).  ``pin``
-    additionally restricts each group's workers to a contiguous block of
-    the host's CPUs (``sched_setaffinity``), modeling socket locality.
-    Without ``topology`` the pool is a single flat group, exactly as
-    before.
+    channel's group.  Without ``topology`` the pool is a single flat
+    group.
 
     A dispatch error closes the pool: worker state is unknown after a
     crash, and leaving segments mapped would leak them.  A pool runs one
@@ -417,8 +407,7 @@ class ShardPool:
 
     def __init__(self, workers: Optional[int] = None,
                  start_method: Optional[str] = None,
-                 timeout: Optional[float] = None, *,
-                 topology=None, pin: bool = False):
+                 timeout: Optional[float] = None, *, topology=None):
         if workers is None:
             if topology is None:
                 raise ConfigurationError(
@@ -427,14 +416,17 @@ class ShardPool:
             workers = topology.channels
         if workers < 1:
             raise ConfigurationError("ShardPool needs workers >= 1")
+        if timeout is not None and not (isinstance(timeout, numbers.Real)
+                                        and 0.0 < timeout < math.inf):
+            raise ConfigurationError(
+                "ShardPool timeout must be None or a finite number of "
+                f"seconds above 0, got {timeout!r}")
         self.workers = workers
         self.start_method = start_method
         self.timeout = timeout
         self.topology = topology
-        self.pin = bool(pin)
         n_groups = 1 if topology is None else min(workers, topology.channels)
         ctx = get_context(start_method)
-        cpus = self._host_cpus() if self.pin else ()
         wq, wr = divmod(workers, n_groups)
         self._shipments: "weakref.WeakKeyDictionary[Any, PlanShipment]" \
             = weakref.WeakKeyDictionary()
@@ -443,30 +435,16 @@ class ShardPool:
         resource_tracker.ensure_running()
         self._groups: List[List[_Worker]] = []
         try:
+            # Remainder workers go to the low groups, the same convention
+            # as the shard splitter.
             for g in range(n_groups):
-                block: Tuple[int, ...] = ()
-                if self.pin and cpus:
-                    # Contiguous CPU blocks per group, remainders to the
-                    # low groups — the same convention as the shard
-                    # splitter.
-                    cq, cr = divmod(len(cpus), n_groups)
-                    lo = g * cq + min(g, cr)
-                    block = tuple(cpus[lo:lo + cq + (1 if g < cr else 0)])
                 group: List[_Worker] = []
                 self._groups.append(group)
                 for _ in range(wq + (1 if g < wr else 0)):
-                    group.append(_Worker(ctx, block))
+                    group.append(_Worker(ctx))
         except BaseException:
             self.close(kill=True)
             raise
-
-    @staticmethod
-    def _host_cpus() -> Tuple[int, ...]:
-        """CPUs available to this process, in stable sorted order."""
-        try:
-            return tuple(sorted(os.sched_getaffinity(0)))
-        except (AttributeError, OSError):  # pragma: no cover
-            return tuple(range(os.cpu_count() or 1))
 
     # ------------------------------------------------------------------
 
@@ -525,7 +503,6 @@ class ShardPool:
         *,
         capture_trace: bool = False,
         capture_metrics: bool = False,
-        timeout: Optional[float] = None,
         dpu_ranges: Optional[Sequence[Tuple[int, int]]] = None,
         channels: Optional[Sequence[int]] = None,
     ) -> Tuple[List[ShardOutcome], float]:
@@ -547,7 +524,6 @@ class ShardPool:
         """
         if not self._groups:
             raise PoolError("ShardPool is closed")
-        deadline = timeout if timeout is not None else self.timeout
         shipment = self.ship(plan)
         n_groups = len(self._groups)
         queues: List[Deque[ShardTask]] = [deque() for _ in range(n_groups)]
@@ -563,14 +539,12 @@ class ShardPool:
                 else None))
         t0 = time.perf_counter()
         try:
-            outcomes = self._drive(queues, deadline, t0)
+            outcomes = self._drive(queues, t0)
         except BaseException:
             self.close(kill=True)
             raise
         wall = time.perf_counter() - t0
         _metrics.inc("dispatch.pool.tasks", len(outcomes))
-        if self.pin:
-            _metrics.inc("dispatch.pool.pinned", len(outcomes))
         busy = sum(o.busy_seconds for o in outcomes)
         if wall > 0.0:
             _metrics.observe("dispatch.pool.worker_utilization",
@@ -578,9 +552,10 @@ class ShardPool:
         return outcomes, wall
 
     def _drive(self, queues: List[Deque[ShardTask]],
-               deadline: Optional[float], t0: float) -> List[ShardOutcome]:
+               t0: float) -> List[ShardOutcome]:
         """Feed each group's queue to its free workers until every shard
         has an outcome; raise on the first failure, death or timeout."""
+        deadline = self.timeout
         idle = [list(group) for group in self._groups]
         busy: Dict[_Worker, Tuple[int, int]] = {}  # -> (group, shard index)
         outcomes: List[Optional[ShardOutcome]] = \

@@ -5,9 +5,10 @@ transcendental functions once and then serves a stream of launches against
 them — different functions, different batch sizes, interleaved.
 :class:`PlanSession` models that call stream: it owns a
 :class:`~repro.pim.host.PIMRuntime` (whose per-core WRAM/MRAM the installed
-tables genuinely share) and a :class:`~repro.plan.cache.PlanCache`, so the
-first launch of each function compiles its plan and every later launch —
-including sharded/overlapped ones — is PlanCache-warm.
+tables genuinely share) and compiles through that runtime's
+:class:`~repro.plan.cache.PlanCache`, so the first launch of each function
+compiles its plan and every later launch — including sharded/overlapped
+ones, and the runtime's own ``run`` calls — is PlanCache-warm.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.pim.system import SystemRunResult
 
 if TYPE_CHECKING:  # imported lazily at runtime (host imports this package)
     from repro.pim.host import InstalledFunction, PIMRuntime
-from repro.plan.cache import PlanCache
 from repro.plan.dispatch import (ShardedRunResult, execute_sharded,
                                  shard_ranges, shard_split)
 from repro.plan.plan import LaunchConfig
@@ -95,12 +95,13 @@ class PlanSession:
     """A multi-kernel call stream over one runtime's resident tables."""
 
     def __init__(self, runtime: Optional["PIMRuntime"] = None,
-                 plan_cache: Optional[PlanCache] = None,
                  config: LaunchConfig = LaunchConfig()):
         from repro.pim.host import PIMRuntime
 
         self.runtime = runtime if runtime is not None else PIMRuntime()
-        self.plans = plan_cache if plan_cache is not None else PlanCache()
+        #: The runtime's plan cache: one compiled plan and one table image
+        #: per installed function, whichever of the two launches it.
+        self.plans = self.runtime.plan_cache
         #: The launch configuration every plan of this session compiles
         #: under.
         self.config = config
@@ -128,10 +129,7 @@ class PlanSession:
         shards: int = 1,
         overlap: bool = False,
         virtual_n: Optional[int] = None,
-        workers: Optional[int] = None,
         pool=None,
-        start_method: Optional[str] = None,
-        timeout: Optional[float] = None,
         rank_aligned: bool = False,
     ) -> Union[SystemRunResult, ShardedRunResult]:
         """Launch installed function ``name`` over ``inputs``.
@@ -139,19 +137,17 @@ class PlanSession:
         ``shards``/``overlap`` route through the sharded dispatcher;
         plans (and their path-tally caches) persist across launches, so a
         steady-state stream never re-traces or rebuilds anything.
-        ``workers``/``pool`` run the shards on a multiprocess pool
-        (:mod:`repro.plan.pool`) with bit-identical results; a pool passed
-        in survives the launch and keeps its warm workers.
-        ``rank_aligned`` splits shards along the system topology's rank
-        boundaries (see :func:`~repro.plan.dispatch.execute_sharded`).
+        ``pool`` (a caller-owned :class:`~repro.plan.pool.ShardPool`) runs
+        the shards on its warm worker processes with bit-identical
+        results.  ``rank_aligned`` splits shards along the system
+        topology's rank boundaries (see
+        :func:`~repro.plan.dispatch.execute_sharded`).
         """
         plan = self.plans.plan(self.runtime.system,
                                self.runtime[name].method, self.config)
         return self.execute_plan(
             name, plan, inputs, shards=shards, overlap=overlap,
-            virtual_n=virtual_n, workers=workers, pool=pool,
-            start_method=start_method, timeout=timeout,
-            rank_aligned=rank_aligned,
+            virtual_n=virtual_n, pool=pool, rank_aligned=rank_aligned,
         )
 
     def execute_plan(
@@ -163,10 +159,7 @@ class PlanSession:
         shards: int = 1,
         overlap: bool = False,
         virtual_n: Optional[int] = None,
-        workers: Optional[int] = None,
         pool=None,
-        start_method: Optional[str] = None,
-        timeout: Optional[float] = None,
         rank_aligned: bool = False,
     ) -> Union[SystemRunResult, ShardedRunResult]:
         """Execute an already-compiled plan under this session's accounting.
@@ -181,9 +174,7 @@ class PlanSession:
             if shards > 1:
                 result = execute_sharded(
                     plan, inputs, n_shards=shards, overlap=overlap,
-                    virtual_n=virtual_n, workers=workers, pool=pool,
-                    start_method=start_method, timeout=timeout,
-                    rank_aligned=rank_aligned,
+                    virtual_n=virtual_n, pool=pool, rank_aligned=rank_aligned,
                 )
             else:
                 result = plan.execute(
@@ -215,10 +206,6 @@ class PlanSession:
         *,
         shards: int = 1,
         virtual_n: Optional[int] = None,
-        workers: Optional[int] = None,
-        pool=None,
-        start_method: Optional[str] = None,
-        timeout: Optional[float] = None,
         rank_aligned: bool = False,
     ) -> StreamResult:
         """Run a stream of launches as one interleaved pipeline.
@@ -230,12 +217,8 @@ class PlanSession:
         1``, of every shard of every launch — on the shared host links
         and DPU groups via :func:`~repro.plan.schedule.schedule_pipeline`:
         launch ``j+1``'s scatter overlaps launch ``j``'s kernel, kernels
-        of overlapping DPU ranges serialize, gathers drain FIFO.
-
-        ``workers``/``pool`` run each launch's shards on a multiprocess
-        pool; with bare ``workers`` one pool spans the whole stream, so
-        every distinct plan ships to the workers once.  An unsharded
-        stream runs inline and starts no worker.
+        of overlapping DPU ranges serialize, gathers drain FIFO.  Every
+        shard runs inline.
         """
         requests = list(requests)
         if not requests:
@@ -252,61 +235,47 @@ class PlanSession:
                     shard_split(shards, system.config.n_dpus, shards))
         else:
             ranges = [None]  # whole system: every kernel stage conflicts
-        stream_pool = pool
-        owned = False
-        if (stream_pool is None and shards > 1 and workers is not None
-                and workers > 1):
-            from repro.plan.pool import ShardPool
-            stream_pool = ShardPool(workers, start_method=start_method,
-                                    timeout=timeout)
-            owned = True
         results: List[Union[SystemRunResult, ShardedRunResult]] = []
         records: List[LaunchRecord] = []
         items: List[StageItem] = []
-        try:
-            with _span("session.stream", launches=len(requests),
-                       shards=shards) as sp:
-                for j, (name, inputs) in enumerate(requests):
-                    plan = self.plans.plan(
-                        system, self.runtime[name].method, self.config)
-                    if shards > 1:
-                        result = execute_sharded(
-                            plan, inputs, n_shards=shards, overlap=False,
-                            virtual_n=virtual_n, pool=stream_pool,
-                            timeout=timeout, rank_aligned=rank_aligned,
-                        )
-                        for k, shard in enumerate(result.shards):
-                            r = shard.result
-                            items.append(StageItem(
-                                key=f"{j}:{name}:{k}",
-                                h2p=r.host_to_pim_seconds,
-                                launch=r.launch_seconds,
-                                kernel=r.kernel_seconds,
-                                p2h=r.pim_to_host_seconds,
-                                dpu_range=ranges[k],
-                            ))
-                    else:
-                        result = plan.execute(
-                            np.asarray(inputs, dtype=_F32),
-                            virtual_n=virtual_n)
+        with _span("session.stream", launches=len(requests),
+                   shards=shards) as sp:
+            for j, (name, inputs) in enumerate(requests):
+                plan = self.plans.plan(
+                    system, self.runtime[name].method, self.config)
+                if shards > 1:
+                    result = execute_sharded(
+                        plan, inputs, n_shards=shards, overlap=False,
+                        virtual_n=virtual_n, rank_aligned=rank_aligned,
+                    )
+                    for k, shard in enumerate(result.shards):
+                        r = shard.result
                         items.append(StageItem(
-                            key=f"{j}:{name}",
-                            h2p=result.host_to_pim_seconds,
-                            launch=result.launch_seconds,
-                            kernel=result.kernel_seconds,
-                            p2h=result.pim_to_host_seconds,
-                            dpu_range=None,
+                            key=f"{j}:{name}:{k}",
+                            h2p=r.host_to_pim_seconds,
+                            launch=r.launch_seconds,
+                            kernel=r.kernel_seconds,
+                            p2h=r.pim_to_host_seconds,
+                            dpu_range=ranges[k],
                         ))
-                    results.append(result)
-                    records.append(
-                        self._record(name, result, shards, overlap=False))
-                schedule = schedule_pipeline(items)
-                sp.set(sim_seconds=schedule.makespan,
-                       serial_seconds=schedule.serial_seconds,
-                       saving_seconds=schedule.saving_seconds)
-        finally:
-            if owned:
-                stream_pool.close()
+                else:
+                    result = plan.execute(
+                        np.asarray(inputs, dtype=_F32), virtual_n=virtual_n)
+                    items.append(StageItem(
+                        key=f"{j}:{name}",
+                        h2p=result.host_to_pim_seconds,
+                        launch=result.launch_seconds,
+                        kernel=result.kernel_seconds,
+                        p2h=result.pim_to_host_seconds,
+                        dpu_range=None,
+                    ))
+                results.append(result)
+                records.append(
+                    self._record(name, result, shards, overlap=False))
+            schedule = schedule_pipeline(items)
+            sp.set(sim_seconds=schedule.makespan,
+                   serial_seconds=schedule.serial_seconds,
+                   saving_seconds=schedule.saving_seconds)
         _metrics.inc("session.streams")
         _metrics.observe("session.stream_saving_seconds",
                          schedule.saving_seconds)

@@ -183,17 +183,17 @@ class TestPlanCache:
         assert cache.plan(system, _method(density_log2=6)) is p1
 
     def test_method_pool_eviction(self, system):
-        cache = PlanCache(maxsize=8, method_pool_size=1)
-        cache.plan(system, _method(density_log2=6))
-        cache.plan(system, _method(density_log2=7))
+        # The method pool keeps max(maxsize, 8) images: the ninth distinct
+        # table evicts the oldest.
+        cache = PlanCache(maxsize=1)
+        for density in range(4, 13):
+            cache.plan(system, _method(density_log2=density))
         assert cache.table_evictions == 1
-        assert cache.stats()["methods"] == 1
+        assert cache.stats()["methods"] == 8
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             PlanCache(maxsize=0)
-        with pytest.raises(ConfigurationError):
-            PlanCache(maxsize=4, method_pool_size=0)
 
     def test_clear(self, system):
         cache = PlanCache()

@@ -2,7 +2,7 @@
 
 The tentpole guarantee of :mod:`repro.plan.pool` is that a pooled sharded
 dispatch is pure *mechanism*: for every supported (function, method) pair,
-``execute_sharded(plan, xs, workers=W)`` produces values, slots, tallies,
+``execute_sharded(plan, xs, pool=pool)`` produces values, slots, tallies,
 and span-reconciled timings bit-identical to the inline shard loop — under
 both ``fork`` and ``spawn`` worker start methods.  No approx anywhere;
 every assertion is ``==``.
@@ -10,9 +10,10 @@ every assertion is ``==``.
 A fast subset runs in tier-1; the full ``METHOD_SUPPORT`` matrix, over the
 oracle harness's configurations and built methods
 (``tests/test_oracle.py``), is ``slow``-marked.  Fault-injection tests drive a
-worker that raises, hangs past the dispatch timeout, or dies mid-shard,
+worker that raises, hangs past the pool's deadline, or dies mid-shard,
 and assert the failure surfaces as a clean :class:`repro.errors.PoolError`
 with no orphaned shared-memory segments and no half-aggregated result.
+A bad pool deadline is refused before any worker starts.
 """
 
 import os
@@ -332,19 +333,19 @@ class TestFaultInjection:
         plan = _fault_plan()
         xs = _inputs_with_fault(64, 2, shard_k=0, sentinel=_BOOM)
         before = active_segments()
+        pool = ShardPool(2, start_method="fork")
         with pytest.raises(TransPimError):
-            execute_sharded(plan, xs, n_shards=2, workers=2)
+            execute_sharded(plan, xs, n_shards=2, pool=pool)
         assert active_segments() == before
 
     def test_worker_hang_times_out(self):
         plan = _fault_plan()
         xs = _inputs_with_fault(64, 2, shard_k=1, sentinel=_HANG)
         before = active_segments()
-        pool = ShardPool(2, start_method="fork")
+        pool = ShardPool(2, start_method="fork", timeout=1.5)
         t0 = time.monotonic()
         with pytest.raises(PoolTimeoutError):
-            execute_sharded(plan, xs, n_shards=2, pool=pool,
-                            timeout=1.5)
+            execute_sharded(plan, xs, n_shards=2, pool=pool)
         assert time.monotonic() - t0 < 20.0  # well under the 30s sleep
         assert pool.closed
         assert active_segments() == before
@@ -365,9 +366,10 @@ class TestFaultInjection:
         xs = _inputs_with_fault(64, 4, shard_k=3, sentinel=_BOOM)
         tracer = Tracer()
         reg = MetricsRegistry()
+        pool = ShardPool(2, start_method="fork")
         with tracing(tracer), collecting(reg):
             with pytest.raises(PoolError):
-                execute_sharded(plan, xs, n_shards=4, workers=2)
+                execute_sharded(plan, xs, n_shards=4, pool=pool)
         # No shard results were aggregated: the dispatch-level counters
         # and the reconciliation gauge never fired.
         assert reg.value("dispatch.runs") == 0
@@ -444,6 +446,9 @@ class TestTransport:
         assert not any(p.is_alive() for p in procs)
         shards = _shard_spans(tracer)
         assert len(shards) == 8
+        assert [s.attrs["channel"] for s in shards] == [
+            PAPER_TOPOLOGY.channel_of_range(lo, hi)
+            for lo, hi in PAPER_TOPOLOGY.split_ranks(8)]
         assert {s.attrs["channel"] for s in shards} == {0, 1}
         assert home[0] != home[1]
         for s in shards:
@@ -460,12 +465,11 @@ class TestTransport:
         for k in (1, 2):
             xs[starts[k]:starts[k + 1]] = _F32(_HANG)
         before = active_segments()
-        pool = ShardPool(2, start_method="fork")
+        pool = ShardPool(2, start_method="fork", timeout=1.5)
         procs = _pool_processes(pool)
         t0 = time.monotonic()
         with pytest.raises(PoolTimeoutError) as err:
-            execute_sharded(plan, xs, n_shards=n_shards, pool=pool,
-                            timeout=1.5)
+            execute_sharded(plan, xs, n_shards=n_shards, pool=pool)
         assert time.monotonic() - t0 < 20.0  # well under the 30s sleep
         assert err.value.shard_index == 1
         assert "shard 1 " in str(err.value)
@@ -486,66 +490,6 @@ def _record_process_starts(monkeypatch):
 
     monkeypatch.setattr(mp_process.BaseProcess, "start", recording_start)
     return started
-
-
-class TestOwnedPools:
-    """A pool that a dispatch or a stream builds for itself from bare
-    ``workers`` starts only workers that get a shard."""
-
-    def test_throwaway_pool_starts_one_worker_per_shard(self, monkeypatch):
-        plan = _plan_for("sin", "mlut_i")
-        xs = _inputs_for("sin", 600)
-        inline = execute_sharded(plan, xs, n_shards=2)
-        started = _record_process_starts(monkeypatch)
-        pooled = execute_sharded(plan, xs, n_shards=2, workers=4,
-                                 start_method="fork", timeout=60.0)
-        assert len(started) == 2
-        assert not any(p.is_alive() for p in started)
-        assert pooled.total_seconds == inline.total_seconds
-        for a, b in zip(inline.shards, pooled.shards):
-            assert_fields_equal(b.result, a.result, "shard result")
-
-    @staticmethod
-    def _stream():
-        from repro.plan.session import PlanSession
-
-        session = PlanSession(config=LaunchConfig(sample_size=48))
-        session.install(make_method("sin", "mlut_i", assume_in_range=False))
-        session.install(make_method("exp", "slut_i", assume_in_range=False))
-        requests = [("mlut_i:sin", _inputs_for("sin", 600)),
-                    ("slut_i:exp", _inputs_for("exp", 300)),
-                    ("mlut_i:sin", _inputs_for("sin", 900))]
-        return session, requests
-
-    @staticmethod
-    def _assert_streams_equal(a, b):
-        assert b.schedule == a.schedule
-        assert [r.simulated_seconds for r in b.records] == \
-            [r.simulated_seconds for r in a.records]
-
-    def test_unsharded_stream_starts_no_worker(self, monkeypatch):
-        session, requests = self._stream()
-        inline = session.launch_stream(requests)
-        started = _record_process_starts(monkeypatch)
-        stream = session.launch_stream(requests, workers=2,
-                                       start_method="fork")
-        assert started == []
-        self._assert_streams_equal(inline, stream)
-
-    def test_sharded_stream_runs_on_one_pool(self, monkeypatch):
-        session, requests = self._stream()
-        before = active_segments()
-        inline = session.launch_stream(requests, shards=2)
-        started = _record_process_starts(monkeypatch)
-        stream = session.launch_stream(requests, shards=2, workers=2,
-                                       start_method="fork", timeout=60.0)
-        assert len(started) == 2
-        assert not any(p.is_alive() for p in started)
-        assert active_segments() == before
-        self._assert_streams_equal(inline, stream)
-        for a, b in zip(inline.results, stream.results):
-            for sa, sb in zip(a.shards, b.shards):
-                assert_fields_equal(sb.result, sa.result, "shard result")
 
 
 def test_fork_pool_shares_the_resource_tracker():
@@ -587,9 +531,20 @@ def test_pool_rejects_bad_workers():
         ShardPool(0)
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"),
+                                     float("-inf"), 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_pool_rejects_bad_deadline(timeout, monkeypatch):
+    """A deadline that is not a finite number above 0 is refused where it
+    is set, before any worker starts."""
+    started = _record_process_starts(monkeypatch)
+    with pytest.raises(ConfigurationError):
+        ShardPool(2, start_method="fork", timeout=timeout)
+    assert started == []
+
+
 class TestTopologyPlacement:
-    """NUMA-aware pool construction: per-channel worker groups, channel
-    affinity routing, and best-effort CPU pinning."""
+    """Channel-aware pool construction: per-channel worker groups."""
 
     def test_workers_default_one_per_channel(self):
         from repro.pim.topology import PAPER_TOPOLOGY
@@ -618,54 +573,3 @@ class TestTopologyPlacement:
             assert [len(group) for group in pool._groups] == [1]
         finally:
             pool.close()
-
-    def test_pinned_dispatch_is_bit_identical_and_counted(self):
-        """Pinning is placement-only: results match the unpinned pool
-        bit for bit, and every task is counted as pinned."""
-        from repro.pim.config import SystemConfig
-        from repro.pim.system import PIMSystem
-        from repro.plan.plan import LaunchConfig, compile_plan
-
-        topo_system = PIMSystem(SystemConfig())
-        m = make_method("sin", "llut_i", assume_in_range=False)
-        plan = compile_plan(topo_system, m, LaunchConfig(sample_size=48))
-        xs = _inputs_for("sin", 1200)
-        baseline = execute_sharded(plan, xs, n_shards=2, rank_aligned=True)
-        pool = ShardPool(2, start_method="fork", timeout=120.0,
-                         topology=topo_system.config.topology, pin=True)
-        try:
-            with collecting() as reg:
-                pinned = execute_sharded(plan, xs, n_shards=2,
-                                         rank_aligned=True, pool=pool)
-        finally:
-            pool.close()
-        assert reg.value("dispatch.pool.pinned") == 2
-        assert pinned.total_seconds == baseline.total_seconds
-        for sa, sb in zip(baseline.shards, pinned.shards):
-            assert sa.result.total_seconds == sb.result.total_seconds
-
-    def test_pinned_shard_spans_carry_placement_attrs(self):
-        from repro.pim.config import SystemConfig
-        from repro.pim.system import PIMSystem
-        from repro.plan.plan import LaunchConfig, compile_plan
-
-        topo_system = PIMSystem(SystemConfig())
-        m = make_method("sin", "llut_i", assume_in_range=False)
-        plan = compile_plan(topo_system, m, LaunchConfig(sample_size=48))
-        xs = _inputs_for("sin", 1200)
-        topo = topo_system.config.topology
-        pool = ShardPool(2, start_method="fork", timeout=120.0,
-                         topology=topo, pin=True)
-        tracer = Tracer()
-        try:
-            with tracing(tracer):
-                execute_sharded(plan, xs, n_shards=2, rank_aligned=True,
-                                pool=pool)
-        finally:
-            pool.close()
-        dsp = tracer.find("dispatch.run")
-        shard_spans = [c for c in dsp.children if c.name == "shard"]
-        spans = topo.split_ranks(2)
-        assert [s.attrs["channel"] for s in shard_spans] == \
-            [topo.channel_of_range(lo, hi) for lo, hi in spans]
-        assert all(s.attrs["pinned"] is True for s in shard_spans)

@@ -47,6 +47,21 @@ class TestLaunchStream:
         assert session.plans.misses == 1
         assert session.plans.hits == 2
 
+    def test_runtime_runs_on_the_session_plans(self, xs):
+        """One plan cache per runtime: a session launch and the runtime's
+        own ``run`` share the plan and its table image."""
+        s = PlanSession()
+        s.install(make_method("sin", "llut_i", density_log2=8,
+                              assume_in_range=False))
+        launched = s.launch("llut_i:sin", xs)
+        misses = s.plans.misses
+        with collecting() as reg:
+            ran = s.runtime["llut_i:sin"].run(xs)
+        assert reg.value("plan.compiles") == 0
+        assert s.runtime.plan_cache.misses == s.plans.misses == misses
+        assert ran.total_seconds == launched.total_seconds
+        assert ran.kernel_seconds == launched.kernel_seconds
+
     def test_unknown_function_rejected(self, session, xs):
         with pytest.raises(ConfigurationError):
             session.launch("llut_i:cos", xs)
@@ -56,6 +71,18 @@ class TestLaunchStream:
         assert isinstance(r, ShardedRunResult)
         assert r.n_shards == 4 and r.overlap
         assert session.launches[-1].shards == 4
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stream_launches_as_lone_launches(self, session, xs, shards):
+        requests = [("llut_i:sin", xs), ("mlut_i:exp", np.abs(xs))]
+        stream = session.launch_stream(requests, shards=shards)
+        lone = [session.launch(name, inputs, shards=shards)
+                for name, inputs in requests]
+        assert [r.total_seconds for r in stream.results] == \
+            [r.total_seconds for r in lone]
+        assert [r.function for r in stream.records] == \
+            ["llut_i:sin", "mlut_i:exp"]
+        assert stream.pipelined_seconds <= stream.serial_seconds
 
     def test_total_simulated_seconds(self, session, xs):
         a = session.launch("llut_i:sin", xs)

@@ -199,6 +199,29 @@ class TestTopologyCommands:
         out = capsys.readouterr().out
         assert "rank-aligned" in out
 
+    def test_run_on_workers_matches_inline(self, capsys, monkeypatch):
+        """``--workers`` builds one pool for every launch, prints the
+        inline run's numbers and leaves no worker alive."""
+        from tests.plan.test_pool import _record_process_starts
+
+        def columns(out):
+            rows = out.splitlines()[3:]
+            return [row.split()[:6] for row in rows]  # launch .. dpus
+
+        run = ["run", "sin", "mlut", "--n", "4096", "--shards", "4",
+               "--repeat", "2"]
+        assert main(run) == 0
+        inline = columns(capsys.readouterr().out)
+        started = _record_process_starts(monkeypatch)
+        assert main(run + ["--workers", "2", "--start-method", "fork",
+                           "--timeout", "120"]) == 0
+        out = capsys.readouterr().out
+        assert "x 2 workers" in out
+        assert columns(out) == inline
+        assert len(inline) == 2
+        assert len(started) == 2
+        assert not any(p.is_alive() for p in started)
+
     def test_topology_registered_in_parser(self):
         parser = build_parser()
         sub = next(a for a in parser._actions
