@@ -14,7 +14,7 @@ measures, exactly as the paper's microbenchmarks do (Section 4.1.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.obs.tracer import span as _span
 from repro.pim.config import SystemConfig
 from repro.pim.system import PIMSystem
 from repro.plan.cache import PlanCache
-from repro.plan.plan import LaunchConfig
+from repro.plan.plan import LaunchConfig, compile_plan
 
 __all__ = ["SweepPoint", "sweep_method", "SINE_SWEEPS", "default_inputs"]
 
@@ -83,33 +83,40 @@ def sweep_method(
     costs: OpCosts = UPMEM_COSTS,
     setup_model: SetupTimeModel = DEFAULT_SETUP_MODEL,
     extra_params: Optional[Dict[str, int]] = None,
-    skip_oversized_wram: bool = True,
     plan_cache: Optional[PlanCache] = None,
 ) -> List[SweepPoint]:
     """Sweep one method's precision parameter and measure every point.
 
-    Every point compiles through a :class:`~repro.plan.cache.PlanCache`
-    (``plan_cache`` when given, a sweep-local one otherwise).  The cache's
-    method pool reuses built tables and RMSE evaluations across placements
-    and calls: table contents are placement-independent, only the traced
-    load cost differs, so a pool hit retargets the method with
-    :meth:`Method.set_placement` instead of rebuilding.  The accuracy pass
-    is memoized per table image by the content of ``inputs``, so calls
+    A point whose table another placement can reuse compiles through a
+    :class:`~repro.plan.cache.PlanCache` (``plan_cache`` when given, a
+    sweep-local one otherwise).  Its method pool shares built tables
+    across placements and calls: table contents are placement-independent,
+    so a pool hit retargets the method with :meth:`Method.set_placement`
+    instead of rebuilding.  Each image memoizes its accuracy as
+    ``(rmse, max_error)``, keyed by the content of ``inputs``, so calls
     sharing one cache may pass different inputs.
+
+    A table planned larger than :data:`WRAM_TABLE_BUDGET` serves only
+    MRAM, since WRAM skips it before building it.  Its point compiles its
+    own plan with :func:`~repro.plan.plan.compile_plan` and frees the
+    table once measured, so a repeat MRAM call on the same cache rebuilds
+    it.  A table whose size is known only after its build is pooled.
     """
     if inputs is None:
         inputs = default_inputs(function)
     reference = get_function(function).reference(inputs.astype(np.float64))
-    rmse_key = ("sweep_rmse_approx", array_digest(inputs), inputs.shape,
-                inputs.dtype.str)
+    errors_key = ("sweep_errors", array_digest(inputs), inputs.shape,
+                  inputs.dtype.str)
 
     cache = plan_cache if plan_cache is not None else PlanCache(maxsize=256)
     # One representative core: sweeps measure per-element cycles, so the
     # rest of the system (DPU count, host links) never enters the numbers.
     system = PIMSystem(SystemConfig(n_dpus=1), costs)
     launch = LaunchConfig(tasklets=tasklets, sample_size=sample_size)
-    points: List[SweepPoint] = []
-    for value in param_values:
+
+    def measure(value: int) -> Optional[SweepPoint]:
+        # The point's method and plan live only in this frame, so a table
+        # the cache does not hold is freed before the next point builds.
         params = dict(extra_params or {})
         params[param_name] = value
         with _span("sweep.point", function=function, method=method,
@@ -124,43 +131,47 @@ def sweep_method(
                     **params,
                 )
                 planned = m.planned_table_bytes()
-                if (placement == "wram" and skip_oversized_wram
-                        and planned is not None
-                        and planned > WRAM_TABLE_BUDGET):
+                oversized = planned is not None and planned > WRAM_TABLE_BUDGET
+                if placement == "wram" and oversized:
                     # known oversized before building: skip the build
                     _metrics.inc("sweep.skipped_oversized")
                     point_sp.set(skipped="oversized_wram")
-                    continue
-                # Compile (pool hit: an equivalent built table — any
-                # placement — is retargeted; miss: the table builds here).
-                plan = cache.plan(system, m, launch)
+                    return None
+                # A table WRAM cannot hold serves this point alone, so it
+                # gets its own plan.  Any other compiles through the pool
+                # (hit: an equivalent built table — any placement — is
+                # retargeted; miss: the table builds here).
+                plan = compile_plan(system, m, launch) if oversized \
+                    else cache.plan(system, m, launch)
                 m = plan.method
-            if (placement == "wram" and skip_oversized_wram
-                    and plan.table_bytes > WRAM_TABLE_BUDGET):
+            if placement == "wram" and plan.table_bytes > WRAM_TABLE_BUDGET:
                 # the paper's WRAM curves stop where tables no longer fit
                 _metrics.inc("sweep.skipped_oversized")
                 point_sp.set(skipped="oversized_wram")
-                continue
-            approx = plan.memo.get(rmse_key)
-            if approx is None:
+                return None
+            errors = plan.memo.get(errors_key)
+            if errors is None:
                 with _span("sweep.rmse"):
                     approx = plan.values(inputs).astype(np.float64)
-                plan.memo[rmse_key] = approx
+                errors = plan.memo[errors_key] = (
+                    rmse(approx, reference), max_abs_error(approx, reference))
             result = plan.execute(inputs).per_dpu
             _metrics.inc("sweep.points")
             point_sp.set(cycles_per_element=result.cycles_per_element)
-        points.append(SweepPoint(
+        return SweepPoint(
             function=function,
             method=method,
             placement=placement,
             param=f"{param_name}={value}",
-            rmse=rmse(approx, reference),
-            max_error=max_abs_error(approx, reference),
+            rmse=errors[0],
+            max_error=errors[1],
             cycles_per_element=result.cycles_per_element,
             setup_seconds=setup_model.seconds(m.host_entries(), m.table_bytes()),
             table_bytes=m.table_bytes(),
-        ))
-    return points
+        )
+
+    points = (measure(value) for value in param_values)
+    return [point for point in points if point is not None]
 
 
 #: The Figure 5-7 sine sweep: every implementation method, float and fixed,
@@ -188,14 +199,13 @@ SINE_SWEEPS: Dict[str, dict] = {
 }
 
 
-def sine_sweep(placements: Iterable[str] = ("mram", "wram"),
-               costs: OpCosts = UPMEM_COSTS) -> List[SweepPoint]:
+def sine_sweep(costs: OpCosts = UPMEM_COSTS) -> List[SweepPoint]:
     """Run the full Figure 5-7 sweep for the sine function."""
     inputs = default_inputs("sin")
     points: List[SweepPoint] = []
     cache = PlanCache(maxsize=256)
     for method, cfg in SINE_SWEEPS.items():
-        for placement in placements:
+        for placement in ("mram", "wram"):
             points.extend(sweep_method(
                 "sin", method, placement=placement, inputs=inputs,
                 costs=costs, plan_cache=cache, **cfg,

@@ -25,6 +25,9 @@ Usage::
                         --seed N --verify]
     python -m repro topology [--channels C --dimms D --ranks R
                         --dpus-per-rank N]
+
+A value the library rejects (any ``TransPimError``) prints one line,
+``repro COMMAND: message``, on stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ import sys
 from typing import List, Optional
 
 import numpy as np
+
+from repro.errors import TransPimError
 
 
 def _sweep_points(quick: bool):
@@ -170,7 +175,6 @@ def _cmd_listing(args) -> int:
 def _cmd_lint(args) -> int:
     import json
 
-    from repro.errors import ConfigurationError
     from repro.lint import (
         ALL_PASSES,
         apply_baseline,
@@ -181,14 +185,9 @@ def _cmd_lint(args) -> int:
 
     passes = tuple(p.strip() for p in args.passes.split(",") if p.strip()) \
         if args.passes else ALL_PASSES
-    try:
-        report = run_lint(passes=passes,
-                          extra_modules=tuple(args.extra_module))
-        if args.baseline:
-            apply_baseline(report, load_baseline(args.baseline))
-    except ConfigurationError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
+    report = run_lint(passes=passes, extra_modules=tuple(args.extra_module))
+    if args.baseline:
+        apply_baseline(report, load_baseline(args.baseline))
     if args.write_baseline:
         n = write_baseline(report, args.write_baseline)
         print(f"repro lint: wrote {n} accepted fingerprint(s) to "
@@ -673,6 +672,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:  # piping into head etc. is fine
         return 0
+    except TransPimError as exc:  # a bad value the library rejected
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -89,6 +89,56 @@ class TestSweep:
         assert cycles[0] < cycles[1] < cycles[2]
 
 
+class TestTableLifetime:
+    """A table too large for WRAM lives only as long as its MRAM point."""
+
+    SWEEP = dict(function="sin", method="llut", param_name="density_log2",
+                 param_values=(8, 16, 18, 20))  # 0.01 .. 25.13 MiB tables
+
+    def test_oversized_tables_die_with_their_point(self, monkeypatch):
+        import tracemalloc
+        import weakref
+
+        from repro.analysis import sweep
+
+        inputs = default_inputs("sin", n=4096)
+        # Fill module-level caches first, so the traced call's held
+        # memory is only what the sweep keeps.
+        sweep_method(inputs=inputs, **self.SWEEP)
+        made = []
+        make_method = sweep.make_method
+
+        def recording(*args, **kwargs):
+            method = make_method(*args, **kwargs)
+            made.append(weakref.ref(method))
+            return method
+
+        monkeypatch.setattr(sweep, "make_method", recording)
+        cache = PlanCache()
+        tracemalloc.start()
+        try:
+            points = sweep_method(inputs=inputs, plan_cache=cache,
+                                  **self.SWEEP)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mib = 1 << 20
+        assert len(points) == 4
+        assert held < mib
+        assert peak <= max(p.table_bytes for p in points) + 4 * mib
+        # Only the d8 table fits WRAM, so only it stays pooled.
+        assert [ref() is not None for ref in made] == [True, False, False,
+                                                       False]
+        assert cache.stats()["methods"] == 1
+
+        misses = cache.table_misses
+        wram = sweep_method(inputs=inputs, plan_cache=cache, placement="wram",
+                            **self.SWEEP)
+        assert [p.param for p in wram] == ["density_log2=8"]
+        assert cache.table_hits == 1
+        assert cache.table_misses == misses
+
+
 class TestSweepConfigs:
     def test_all_figure5_methods_configured(self):
         # The paper's eight (fixed-point as L-LUT variants) plus the

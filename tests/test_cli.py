@@ -227,3 +227,30 @@ class TestTopologyCommands:
         sub = next(a for a in parser._actions
                    if hasattr(a, "choices") and a.choices)
         assert "topology" in sub.choices
+
+
+class TestLibraryErrors:
+    """A value the library rejects is one stderr line and exit status 2."""
+
+    @staticmethod
+    def error_line(capsys) -> str:
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        (line,) = captured.err.splitlines()
+        return line
+
+    def test_unknown_method(self, capsys):
+        assert main(["run", "sin", "nosuch", "--n", "16"]) == 2
+        line = self.error_line(capsys)
+        assert line.startswith("repro run: ") and "'nosuch'" in line
+
+    def test_bad_pool_deadline_starts_no_worker(self, capsys, monkeypatch):
+        from tests.plan.test_pool import _record_process_starts
+
+        started = _record_process_starts(monkeypatch)
+        assert main(["run", "sin", "mlut", "--n", "4096", "--shards", "4",
+                     "--workers", "2", "--timeout", "nan"]) == 2
+        line = self.error_line(capsys)
+        assert line.startswith("repro run: ShardPool timeout")
+        assert line.endswith("nan")
+        assert started == []
